@@ -1,12 +1,9 @@
-"""Small shared helpers: byte I/O and worker-count handling."""
+"""Small shared helpers: byte I/O."""
 
 from __future__ import annotations
 
 import io
-import os
 from pathlib import Path
-
-from .errors import ConfigError
 
 
 def write_bytes(destination, blob: bytes) -> None:
@@ -22,21 +19,3 @@ def read_bytes(source) -> bytes:
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         return source.read()
     raise TypeError(f"cannot read from {type(source)}")
-
-
-def worker_count() -> int:
-    """Worker count from QO_THREADS (default: logical cores).
-
-    Work split across workers is always reduced in a fixed order, so the
-    value never changes results, only chunking.
-    """
-    raw = os.environ.get("QO_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"QO_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"QO_THREADS must be >= 1, got {n}")
-    return n

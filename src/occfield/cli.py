@@ -20,10 +20,9 @@ import numpy as np
 from . import bev, field, metrics, supervision
 from .config import RunConfig, read_run_config, read_scan_file, read_scene_file
 from .errors import ConfigError, FormatError, TrainingDivergedError
-from .pointcloud import write_class_table, read_pointcloud, write_pointcloud
+from .pointcloud import PointCloud, write_class_table, read_pointcloud, write_pointcloud
 from .scene import raycast_scan, read_voxel_volume, voxelize_ground_truth, write_voxel_volume
 from .geometry import contract_axis, depth_bin_edges, uncontract_axis
-from ._util import worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,20 +128,17 @@ def _train_config(cfg: RunConfig, seed: int, class_weights) -> field.TrainConfig
 
 def cmd_train(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
-    n_classes = scene.classes.n_classes if scene.classes else (
-        max(p.class_id for p in scene.primitives) + 1
-    )
     weights = None
     if scene.classes is not None:
         weights = field.log_frequency_weights(scene.classes.frequencies)
-    model = _init_model(cfg, seed, n_classes)
+    model = _init_model(cfg, seed, scene.n_classes)
     tc = _train_config(cfg, seed, weights)
     if cfg.train.mode == "query":
         batch = supervision.read_query_batch(cfg.output_dir / "queries.qoqs")
         model, history = field.train(model, batch, tc)
     else:
         _, clouds = _load_scan_clouds(cfg)
-        merged = _concat_clouds(clouds)
+        merged = PointCloud.concat(clouds)
         rays = field.rays_from_pointcloud(merged)
         model, history = field.train_rendering_baseline(model, rays, tc)
     _atomic_write(cfg.output_dir / "model.qofm", lambda f: field.write_field_model(model, f))
@@ -150,20 +146,6 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
     print(
         f"train[{cfg.train.mode}]: {len(history)} steps, "
         f"final loss {history[-1].total:.4f}"
-    )
-
-
-def _concat_clouds(clouds):
-    from .pointcloud import PointCloud
-
-    return PointCloud(
-        np.concatenate([c.positions for c in clouds]),
-        np.concatenate([c.origins for c in clouds]),
-        np.concatenate([c.times for c in clouds]),
-        np.concatenate([c.class_ids for c in clouds]),
-        np.concatenate([c.dynamic_flags for c in clouds]),
-        np.concatenate([c.features for c in clouds]),
-        clouds[0].source_tag,
     )
 
 
@@ -183,7 +165,6 @@ def cmd_eval(cfg: RunConfig, seed: int) -> None:
     rep = metrics.iou(pred, gt, scene.classes).merged(
         metrics.ray_iou(pred, gt, rays, scene.classes)
     )
-    rep.occ_threshold = cfg.metrics.occ_threshold
     _atomic_write(
         cfg.output_dir / "metrics.csv",
         lambda f: metrics.write_metrics_csv(rep, f, scene.classes),
@@ -195,9 +176,7 @@ def cmd_eval(cfg: RunConfig, seed: int) -> None:
 def cmd_inspect_geometry(cfg: RunConfig, seed: int) -> None:
     ts = cfg.train
     contraction = ts.contraction()
-    kappas = np.concatenate([
-        np.linspace(-10 * contraction.k_hr, 10 * contraction.k_hr, 81),
-    ])
+    kappas = np.linspace(-10 * contraction.k_hr, 10 * contraction.k_hr, 81)
     lines = ["kappa contracted roundtrip\n"]
     for k in kappas:
         c = contract_axis(float(k), contraction)
@@ -215,17 +194,14 @@ def cmd_inspect_geometry(cfg: RunConfig, seed: int) -> None:
 
     scene = read_scene_file(cfg.scene_path)
     scan = read_scan_file(cfg.scan_path)
-    n_classes = scene.classes.n_classes if scene.classes else (
-        max(p.class_id for p in scene.primitives) + 1
-    )
     cloud = raycast_scan(scene, scan, noise_seed=seed)
     fourier = ts.fourier()
     grid = bev.BevGrid(
         ts.grid_size, ts.grid_size,
-        2 * fourier.output_dim(1) + n_classes + 1,
+        2 * fourier.output_dim(1) + scene.n_classes + 1,
         contraction,
     )
-    grid = bev.splat_pointcloud(cloud, grid, fourier, n_classes)
+    grid = bev.splat_pointcloud(cloud, grid, fourier, scene.n_classes)
     _atomic_write(
         cfg.output_dir / "bev_mass.ppm", lambda f: f.write(bev.grid_to_ppm(grid))
     )
@@ -255,7 +231,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        worker_count()  # validate QO_THREADS early
         cfg = read_run_config(Path(args.config))
         seed = _resolve_seed(cfg, args)
         _COMMANDS[args.command](cfg, seed)

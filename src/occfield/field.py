@@ -56,6 +56,7 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 RENDER_EPS = 1e-3  # opacity-mass guard for fully transparent rays
+_ADAM_CHUNK = 1 << 16  # elements per AdamW slice: no optimizer temporary copies the grid
 
 
 def _squareplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,14 +203,12 @@ class Gradients:
     grid: np.ndarray
     layers: list[tuple[np.ndarray, np.ndarray]]
 
-    def scaled(self, k: float) -> "Gradients":
-        return Gradients(self.grid * k, [(w * k, b * k) for w, b in self.layers])
-
 
 def _backward_from_output_grads(
-    model: FieldModel, cache, d_occ_logit, d_sem_logits, d_feat
+    model: FieldModel, cache, d_occ_logit, d_sem_logits, d_feat, grid_grad=None
 ) -> Gradients:
-    """Backpropagate given gradients w.r.t. the raw head outputs."""
+    """Backpropagate given gradients w.r.t. the raw head outputs; the grid
+    gradient goes into ``grid_grad``, zeroed first, when one is given."""
     iy, ix, bw, acts, derivs = cache
     d_out = np.concatenate(
         [np.asarray(d_occ_logit)[:, None], d_sem_logits, d_feat], axis=1
@@ -224,7 +223,10 @@ def _backward_from_output_grads(
             d = d * derivs[li - 1]
     grads.reverse()
     d_g = d[:, : model.grid.channels]
-    grid_grad = np.zeros_like(model.grid.data)
+    if grid_grad is None:
+        grid_grad = np.zeros_like(model.grid.data)
+    else:
+        grid_grad.fill(0.0)
     for k in range(4):
         np.add.at(grid_grad, (iy[:, k], ix[:, k]), bw[:, k, None] * d_g)
     return Gradients(grid_grad, grads)
@@ -355,19 +357,21 @@ def loss(model: FieldModel, batch: QueryBatch, cfg: TrainConfig) -> LossReport:
 
 
 def backward(
-    model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=None
+    model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=None, grid_grad=None
 ) -> tuple[Gradients, LossReport]:
     """Analytic gradients of the total loss for every parameter.
 
     Grid cells not touched by any query's bilinear footprint keep exactly
-    zero gradient.
+    zero gradient.  A given ``grid_grad`` array receives the grid gradient.
     """
     report, cache, d_occ, d_sem, d_feat = _loss_terms(model, batch, cfg, indices)
-    return _backward_from_output_grads(model, cache, d_occ, d_sem, d_feat), report
+    return _backward_from_output_grads(model, cache, d_occ, d_sem, d_feat, grid_grad), report
 
 
 class _AdamW:
-    """Adam moments with decoupled weight decay on weight-like parameters."""
+    """Adam moments with decoupled weight decay on weight-like parameters,
+    updated in slices: with the train loops' reused grid gradient, no step
+    frees a grid-sized array, so peak memory does not depend on heap layout."""
 
     def __init__(self, params: list[np.ndarray], decay_mask: list[bool], cfg: TrainConfig):
         self.params = params
@@ -390,15 +394,17 @@ class _AdamW:
         lr = self.lr_at(step_index)
         b1c = 1.0 - _ADAM_BETA1**self.t
         b2c = 1.0 - _ADAM_BETA2**self.t
-        for p, g, m, v, decay in zip(self.params, grads, self.m, self.v, self.decay_mask):
-            m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * g
-            v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * g * g
-            update = (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
-            if decay:
-                update = update + self.cfg.weight_decay * p
-            p -= lr * update
+        for arrays, decay in zip(zip(self.params, grads, self.m, self.v), self.decay_mask):
+            parts = max(1, min(len(arrays[0]), arrays[0].size // _ADAM_CHUNK))
+            for p, g, m, v in zip(*(np.array_split(a, parts) for a in arrays)):
+                m *= _ADAM_BETA1
+                m += (1.0 - _ADAM_BETA1) * g
+                v *= _ADAM_BETA2
+                v += (1.0 - _ADAM_BETA2) * g * g
+                update = (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
+                if decay:
+                    update = update + self.cfg.weight_decay * p
+                p -= lr * update
 
 
 def _flatten_grads(g: Gradients) -> list[np.ndarray]:
@@ -423,13 +429,14 @@ def train(
         raise EmptyBatchError("cannot train on an empty batch")
     rng = np.random.default_rng(cfg.seed)
     opt = _AdamW(model.parameters(), _decay_mask(model), cfg)
+    grid_grad = np.empty_like(model.grid.data)  # one for all steps: see _AdamW
     history: list[LossReport] = []
     # overflow after a divergence is reported via TrainingDivergedError, not
     # as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.total_steps):
             idx = rng.integers(0, len(queries), cfg.batch_size)
-            grads, report = backward(model, queries, cfg, idx)
+            grads, report = backward(model, queries, cfg, idx, grid_grad)
             if not np.isfinite(report.total):
                 raise TrainingDivergedError(step)
             opt.step(_flatten_grads(grads), step)
@@ -547,6 +554,7 @@ def train_rendering_baseline(
         raise EmptyBatchError("no supervision rays")
     rng = np.random.default_rng(cfg.seed)
     opt = _AdamW(model.parameters(), _decay_mask(model), cfg)
+    grid_grad = np.empty_like(model.grid.data)  # one for all steps: see _AdamW
     coarse = np.geomspace(cfg.render_near, cfg.render_far, cfg.render_coarse)
     history: list[LossReport] = []
     w_c = _class_weights(model, cfg)
@@ -621,7 +629,7 @@ def train_rendering_baseline(
         ds = d_sem_rows.reshape(-1, model.n_classes)
         d_sem_logits = sm * (ds - (ds * sm).sum(axis=1, keepdims=True))
         grads = _backward_from_output_grads(
-            model, cache, d_occ_logit, d_sem_logits, np.zeros_like(feat)
+            model, cache, d_occ_logit, d_sem_logits, np.zeros_like(feat), grid_grad
         )
         opt.step(_flatten_grads(grads), step)
         history.append(LossReport(total, l_depth, l_sem, 0.0, b, n_lab, 0))

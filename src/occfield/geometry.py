@@ -1,5 +1,5 @@
 """Pure deterministic geometry: scene contraction, depth binning, camera
-lifting, and Fourier positional encoding.
+lifting, Fourier positional encoding, and ray/box slab clipping.
 
 Conventions used throughout the package:
   * ego frame: right-handed, z up, meters
@@ -29,6 +29,7 @@ __all__ = [
     "project_point",
     "fourier_encode",
     "fourier_encode_batch",
+    "ray_box",
 ]
 
 
@@ -196,13 +197,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self applied after other: (self @ other)(p) = self(other(p))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class CameraModel:
@@ -306,3 +300,24 @@ def fourier_encode_batch(values: np.ndarray, cfg: FourierConfig) -> np.ndarray:
         v = v[:, None]
     phases = (v[:, :, None] * cfg.frequencies[None, None, :]).reshape(v.shape[0], -1)
     return np.concatenate([np.sin(phases), np.cos(phases)], axis=1)
+
+
+def ray_box(origins, dirs, lo, hi, inside=None) -> tuple[np.ndarray, np.ndarray]:
+    """Slab test: (t_in, t_out) of rays ``origins + t * dirs`` through boxes
+    [lo, hi]; a miss has t_in > t_out.  Arguments broadcast with coordinates
+    (any number of axes) on the last axis.  A ray parallel to an axis is in
+    that slab iff its origin is (closed), or where ``inside`` says so."""
+    if inside is None:
+        inside = (origins >= lo) & (origins <= hi)
+    t_in, t_out = -np.inf, np.inf
+    # one axis at a time: numpy is several times slower on a short last axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(dirs.shape[-1]):
+            o, d, ins = origins[..., a], dirs[..., a], inside[..., a]
+            t1 = (lo[..., a] - o) / d
+            t2 = (hi[..., a] - o) / d
+            parallel = d == 0
+            near = np.where(parallel, np.where(ins, -np.inf, np.inf), np.minimum(t1, t2))
+            far = np.where(parallel, np.where(ins, np.inf, -np.inf), np.maximum(t1, t2))
+            t_in, t_out = np.maximum(t_in, near), np.minimum(t_out, far)
+    return t_in, t_out

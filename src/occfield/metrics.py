@@ -3,9 +3,14 @@
 RayIoU marches each ray to the first occupied voxel in ground truth and
 prediction; a ray counts as a class-c true positive at tolerance tau when
 both hit with matching class c and entry depths within tau.  Per-class
-values are averaged over the tolerance set.  ``brute_force_ray_iou``
-replaces the integer grid traversal with dense sampling at cell_size/10 and
-serves as the independent oracle.
+values are averaged over the tolerance set.
+
+Cells are half-open: a point belongs to cell floor((p - mins) / cell_size),
+so a ray running along a face plane lies in the cells above it.
+``first_hits`` finds the first occupied cell by integer grid traversal
+(Amanatides & Woo).  ``first_hits_exact`` and ``brute_force_ray_iou`` are the
+independent oracle: they slab-test every ray against the box of every
+occupied cell, in chunks, and take the nearest entry.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import FieldModel, forward_batch
+from .geometry import ray_box
 from .pointcloud import ClassTable
 from .scene import FREE, ScanSpec, VoxelVolume
 from ._util import write_bytes
@@ -30,12 +36,13 @@ __all__ = [
     "rays_from_scan",
     "rays_to_gt_surface",
     "first_hits",
-    "first_hits_dense",
+    "first_hits_exact",
     "write_metrics_csv",
     "summary_line",
 ]
 
 _CHUNK = 65536
+_ORACLE_PAIRS = 1 << 21  # ray x cell pairs per slab-test chunk of the oracle
 
 
 @dataclasses.dataclass
@@ -48,7 +55,6 @@ class MetricsReport:
     """
 
     n_classes: int
-    occ_threshold: float | None = None
     iou_per_class: np.ndarray | None = None
     iou_defined: np.ndarray | None = None
     mean_iou: float | None = None
@@ -192,18 +198,6 @@ def iou(
     )
 
 
-def _cell_entry_depth(vol: VoxelVolume, origins, dirs, cells) -> np.ndarray:
-    """Analytic ray parameter at which each ray enters its given cell."""
-    lo = vol.mins + cells * vol.cell_size
-    hi = lo + vol.cell_size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origins) / dirs
-        t2 = (hi - origins) / dirs
-    near = np.minimum(t1, t2)
-    near = np.where(dirs == 0, -np.inf, near)
-    return np.maximum(near.max(axis=1), 0.0)
-
-
 def first_hits(
     vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,14 +209,10 @@ def first_hits(
     depth = np.full(n, np.inf)
     dims = np.array(vol.dims)
 
-    # clip to the grid's bounding box
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (vol.mins - origins) / dirs
-        t2 = (vol.maxs - origins) / dirs
-    near = np.where(dirs == 0, np.where((origins >= vol.mins) & (origins <= vol.maxs), -np.inf, np.inf), np.minimum(t1, t2))
-    far = np.where(dirs == 0, np.where((origins >= vol.mins) & (origins <= vol.maxs), np.inf, -np.inf), np.maximum(t1, t2))
-    t_in = np.maximum(near.max(axis=1), 0.0)
-    t_out = far.min(axis=1)
+    # half-open like the cells: a ray along the grid's upper face is outside it
+    inside = (origins >= vol.mins) & (origins < vol.maxs)
+    t_in, t_out = ray_box(origins, dirs, vol.mins, vol.maxs, inside)
+    t_in = np.maximum(t_in, 0.0)
     active = t_in <= t_out
 
     start = origins + np.where(active, t_in, 0.0)[:, None] * dirs
@@ -265,42 +255,30 @@ def first_hits(
     return hit, cls, depth
 
 
-def first_hits_dense(
+def first_hits_exact(
     vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Oracle variant of :func:`first_hits`: dense sampling at cell_size/10
-    finds the first occupied cell; its entry depth is computed analytically."""
+    """Exact oracle for :func:`first_hits`: each ray's nearest entry (clamped
+    at 0) into any occupied cell's box, half-open on axes the ray parallels.
+    Of cells entered at one depth, the first in C order gives the class."""
     n = len(origins)
-    hit = np.zeros(n, dtype=bool)
     cls = np.full(n, FREE, dtype=np.int32)
     depth = np.full(n, np.inf)
-    dims = np.array(vol.dims)
-    step = vol.cell_size / 10.0
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (vol.mins - origins) / dirs
-        t2 = (vol.maxs - origins) / dirs
-    near = np.where(dirs == 0, np.where((origins >= vol.mins) & (origins <= vol.maxs), -np.inf, np.inf), np.minimum(t1, t2))
-    far = np.where(dirs == 0, np.where((origins >= vol.mins) & (origins <= vol.maxs), np.inf, -np.inf), np.maximum(t1, t2))
-    t_in = np.maximum(near.max(axis=1), 0.0)
-    t_out = far.min(axis=1)
-
-    for i in range(n):
-        if t_in[i] > t_out[i]:
-            continue
-        ts = np.arange(t_in[i], t_out[i] + step, step)
-        pts = origins[i] + ts[:, None] * dirs[i]
-        cells = np.floor((pts - vol.mins) / vol.cell_size).astype(np.int64)
-        inb = np.all((cells >= 0) & (cells < dims), axis=1)
-        occ = np.zeros(len(ts), dtype=bool)
-        occ[inb] = vol.occupancy[cells[inb, 0], cells[inb, 1], cells[inb, 2]]
-        if not occ.any():
-            continue
-        k = int(np.argmax(occ))
-        cell = cells[k]
-        hit[i] = True
-        cls[i] = vol.labels[cell[0], cell[1], cell[2]]
-        depth[i] = _cell_entry_depth(vol, origins[i][None], dirs[i][None], cell[None])[0]
+    cells = np.argwhere(vol.occupancy)
+    lo = vol.mins + cells * vol.cell_size
+    hi = lo + vol.cell_size
+    step = max(1, _ORACLE_PAIRS // max(len(cells), 1))
+    for s in range(0, n if len(cells) else 0, step):
+        o = origins[s : s + step, None, :]
+        inside = np.floor((o - vol.mins) / vol.cell_size) == cells
+        t_in, t_out = ray_box(o, dirs[s : s + step, None, :], lo, hi, inside)
+        t_in = np.maximum(t_in, 0.0)
+        entry = np.where(t_in <= t_out, t_in, np.inf)
+        first = np.argmin(entry, axis=1)
+        depth[s : s + step] = entry[np.arange(len(first)), first]
+        cls[s : s + step] = vol.labels[tuple(cells[first].T)]
+    hit = np.isfinite(depth)
+    cls[~hit] = FREE
     return hit, cls, depth
 
 
@@ -382,8 +360,9 @@ def brute_force_ray_iou(
     pred: VoxelVolume, gt: VoxelVolume, cfg: RayIoUConfig,
     classes: ClassTable | None = None,
 ) -> MetricsReport:
-    """Reference RayIoU using dense per-ray sampling instead of traversal."""
-    return _ray_metric(pred, gt, cfg, classes, first_hits_dense)
+    """Reference RayIoU from the exact slab oracle :func:`first_hits_exact`
+    (half-open cells) instead of the grid traversal; costs rays x occupied cells."""
+    return _ray_metric(pred, gt, cfg, classes, first_hits_exact)
 
 
 def summary_line(report: MetricsReport) -> str:

@@ -131,6 +131,19 @@ class PointCloud:
             source_tag,
         )
 
+    @staticmethod
+    def concat(clouds: Sequence["PointCloud"]) -> "PointCloud":
+        """All records of ``clouds`` in order; the first cloud's source tag."""
+        return PointCloud(
+            np.concatenate([c.positions for c in clouds]),
+            np.concatenate([c.origins for c in clouds]),
+            np.concatenate([c.times for c in clouds]),
+            np.concatenate([c.class_ids for c in clouds]),
+            np.concatenate([c.dynamic_flags for c in clouds]),
+            np.concatenate([c.features for c in clouds]),
+            clouds[0].source_tag,
+        )
+
     def record(self, i: int) -> PointRecord:
         return PointRecord(
             self.positions[i].copy(),

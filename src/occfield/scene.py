@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadMagicError, FormatVersionError, TruncatedFileError
+from .geometry import ray_box
 from .pointcloud import ClassTable, PointCloud
 from ._util import read_bytes, write_bytes
 
@@ -90,6 +91,12 @@ class SceneSpec:
             for p in self.primitives:
                 if not (0 <= p.class_id < self.classes.n_classes):
                     raise ValueError(f"class_id {p.class_id} not in class table")
+
+    @property
+    def n_classes(self) -> int:
+        if self.classes is not None:
+            return self.classes.n_classes
+        return max(p.class_id for p in self.primitives) + 1
 
     def is_dynamic_class(self, class_id: int) -> bool:
         if self.classes is not None:
@@ -198,34 +205,14 @@ def _ray_interval(prim: Primitive, origin: np.ndarray, dirs: np.ndarray, t: floa
 
     Returns (t_in, t_out) arrays; empty intersections have t_in > t_out.
     """
-    n = len(dirs)
     off = np.asarray(prim.velocity) * t
-    t_in = np.full(n, -np.inf)
-    t_out = np.full(n, np.inf)
-
-    def clip_axis(o_a, d_a, lo, hi):
-        nonlocal t_in, t_out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - o_a) / d_a
-            t2 = (hi - o_a) / d_a
-        near = np.minimum(t1, t2)
-        far = np.maximum(t1, t2)
-        parallel = d_a == 0
-        inside = (o_a >= lo) & (o_a <= hi)
-        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
-        t_in = np.maximum(t_in, near)
-        t_out = np.minimum(t_out, far)
-
     if isinstance(prim, Box):
-        lo = np.asarray(prim.center) + off - np.asarray(prim.size) / 2.0
-        hi = np.asarray(prim.center) + off + np.asarray(prim.size) / 2.0
-        for a in range(3):
-            clip_axis(origin[a], dirs[:, a], lo[a], hi[a])
-    elif isinstance(prim, GroundSlab):
-        clip_axis(origin[2], dirs[:, 2], prim.z_min + off[2], prim.z_max + off[2])
-    elif isinstance(prim, Cylinder):
-        clip_axis(origin[2], dirs[:, 2], prim.z_min + off[2], prim.z_max + off[2])
+        half = np.asarray(prim.size) / 2.0
+        return ray_box(origin, dirs, off + prim.center - half, off + prim.center + half)
+    if not isinstance(prim, (GroundSlab, Cylinder)):
+        raise TypeError(f"unknown primitive {type(prim)}")
+    t_in, t_out = ray_box(origin[2:], dirs[:, 2:], prim.z_min + off[2:], prim.z_max + off[2:])
+    if isinstance(prim, Cylinder):
         oc = origin[:2] - (np.asarray(prim.center) + off[:2])
         a = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
         b = 2.0 * (dirs[:, 0] * oc[0] + dirs[:, 1] * oc[1])
@@ -241,8 +228,6 @@ def _ray_interval(prim: Primitive, origin: np.ndarray, dirs: np.ndarray, t: floa
         tc1 = np.where(vertical, np.where(c <= 0, np.inf, -np.inf), np.where(miss, -np.inf, tc1))
         t_in = np.maximum(t_in, tc0)
         t_out = np.minimum(t_out, tc1)
-    else:
-        raise TypeError(f"unknown primitive {type(prim)}")
     return t_in, t_out
 
 
@@ -365,14 +350,14 @@ def voxelize_ground_truth(
 
 
 _VOX_MAGIC = b"QOVX"
-_VOX_VERSION = 1
-_VOX_HEADER = struct.Struct("<I3If6f")  # version, dims, cell_size, extents
+_VOX_VERSION = 2
+_VOX_HEADERS = {1: struct.Struct("<I3If6f"), 2: struct.Struct("<I3Id6d")}  # version, dims, cell, extents
 
 
 def write_voxel_volume(vol: VoxelVolume, destination) -> None:
     """QOVX format: u16 cells (0 = free, else class_id + 1), C-order."""
     maxs = vol.maxs
-    header = _VOX_MAGIC + _VOX_HEADER.pack(
+    header = _VOX_MAGIC + _VOX_HEADERS[_VOX_VERSION].pack(
         _VOX_VERSION,
         *vol.dims,
         vol.cell_size,
@@ -387,15 +372,17 @@ def read_voxel_volume(source) -> VoxelVolume:
     data = read_bytes(source)
     if len(data) < 4 or data[:4] != _VOX_MAGIC:
         raise BadMagicError("not a QOVX voxel file")
-    if len(data) < 4 + _VOX_HEADER.size:
+    if len(data) < 8:
         raise TruncatedFileError("QOVX header truncated")
-    fields = _VOX_HEADER.unpack_from(data, 4)
-    version, nx, ny, nz, cell = fields[0], fields[1], fields[2], fields[3], fields[4]
-    extents = fields[5:]
-    if version != _VOX_VERSION:
+    (version,) = struct.unpack_from("<I", data, 4)
+    header = _VOX_HEADERS.get(version)
+    if header is None:
         raise FormatVersionError(f"unsupported QOVX version {version}")
+    if len(data) < 4 + header.size:
+        raise TruncatedFileError("QOVX header truncated")
+    _, nx, ny, nz, cell, *extents = header.unpack_from(data, 4)
     count = nx * ny * nz
-    payload = data[4 + _VOX_HEADER.size:]
+    payload = data[4 + header.size:]
     if len(payload) < 2 * count:
         raise TruncatedFileError("QOVX payload truncated")
     cells = np.frombuffer(payload, dtype="<u2", count=count).reshape(nx, ny, nz)

@@ -92,6 +92,9 @@ class QueryBatch:
     ):
         n = len(queries)
         self.queries = np.asarray(queries, dtype=np.float64).reshape(n, 4)
+        # min and max carry any NaN or infinity, without a full-size mask
+        if not np.isfinite([self.queries.min(initial=0.0), self.queries.max(initial=0.0)]).all():
+            raise ValueError("queries must be finite")
         self.occupancy = np.asarray(occupancy, dtype=np.uint8).reshape(n)
         self.classes = np.asarray(classes, dtype=np.uint16).reshape(n)
         if features is None:

@@ -1,0 +1,169 @@
+import struct
+
+import numpy as np
+import pytest
+
+from occfield import brute_force_ray_iou, iou, ray_iou, read_voxel_volume, rays_from_scan
+from occfield.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from occfield.config import read_run_config, read_scan_file
+from occfield.scene import VoxelVolume
+
+SCENE = """\
+[scene]
+bounds = 20.0
+classes = classes.txt
+
+[slab:ground]
+class = 0
+z_min = -0.4
+z_max = 0.0
+
+[box:block]
+class = 1
+center = 2.0 0.8 0.8
+size = 1.6 1.6 0.8
+
+[box:mover]
+class = 2
+center = -1.6 -2.0 0.8
+size = 0.8 0.8 0.8
+velocity = 0.4 0.0 0.0
+"""
+
+SCAN = """\
+[scan]
+timesteps = -0.5 0.0 0.5
+max_range = 20.0
+
+[origin]
+start = 0.1 0.0 3.0
+velocity = 1.0 0.0 0.0
+
+[rays]
+azimuth_count = 48
+elevation_count = 12
+elevation_min = -1.2
+elevation_max = -0.1
+"""
+
+RUN = """\
+[run]
+scene = scene.ini
+scan = scan.ini
+output_dir = out
+seed = 3
+
+[train]
+mode = {mode}
+learning_rate = 5e-3
+warmup_steps = 5
+total_steps = 20
+batch_size = 256
+grid_size = 24
+grid_channels = 4
+hidden_width = 24
+hidden_layers = 2
+fourier_bands = 4
+k_hr = 4.0
+render_coarse = 8
+render_importance = 4
+{extra}
+[grid]
+x_min = -4.0
+x_max = 4.0
+y_min = -4.0
+y_max = 4.0
+z_min = -0.4
+z_max = 2.0
+cell_size = 0.4
+
+[geometry]
+n_bins = 8
+"""
+
+PREP = ("synth", "scan", "queries")
+
+
+def _write_run(tmp_path, mode="query", extra=""):
+    (tmp_path / "classes.txt").write_text("ground,0.8,0\nblock,0.15,0\nmover,0.05,1\n")
+    (tmp_path / "scene.ini").write_text(SCENE)
+    (tmp_path / "scan.ini").write_text(SCAN)
+    run = tmp_path / "run.ini"
+    run.write_text(RUN.format(mode=mode, extra=extra))
+    return run
+
+
+def _run(run, *commands):
+    return [main([c, "--config", str(run)]) for c in commands]
+
+
+def test_all_six_commands(tmp_path):
+    run = _write_run(tmp_path)
+    commands = (*PREP, "train", "eval", "inspect-geometry")
+    assert _run(run, *commands) == [EXIT_OK] * 6
+    out = tmp_path / "out"
+    expected = [
+        "gt.qovx", "classes.txt", "scan_000.qopc", "scan_001.qopc", "scan_002.qopc",
+        "queries.qoqs", "validation.txt", "model.qofm", "loss.csv", "metrics.csv",
+        "contraction_table.txt", "depth_bins.txt", "bev_mass.ppm",
+    ]
+    for name in expected:
+        assert (out / name).stat().st_size > 0, name
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    assert len((out / "loss.csv").read_text().splitlines()) == 21
+    summary = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
+    assert len(summary) == 6 and all(0.0 <= float(v) <= 1.0 for v in summary if v)
+
+
+def test_ground_truth_scores_one_against_itself(tmp_path):
+    run = _write_run(tmp_path)
+    assert _run(run, "synth") == [EXIT_OK]
+    cfg = read_run_config(run)
+    gt = read_voxel_volume(cfg.output_dir / "gt.qovx")
+    # the file keeps the config's grid exactly, as eval's prediction has it
+    assert gt.cell_size == cfg.grid.cell_size
+    np.testing.assert_array_equal(gt.mins, cfg.grid.mins)
+    config_grid = VoxelVolume(gt.labels, cfg.grid.mins, cfg.grid.cell_size)
+    rays = rays_from_scan(read_scan_file(cfg.scan_path))
+    vox = iou(config_grid, gt)
+    assert vox.mean_iou == 1.0 and vox.occupancy_iou == 1.0
+    for score in (ray_iou, brute_force_ray_iou):
+        rep = score(config_grid, gt, rays)
+        assert rep.mean_rayiou == 1.0 and rep.occupancy_rayiou == 1.0
+        assert not rep.zero_support
+
+
+def test_rendering_mode_trains(tmp_path):
+    run = _write_run(tmp_path, mode="rendering", extra="render_far = 20.0\n")
+    text = run.read_text().replace("total_steps = 20", "total_steps = 2")
+    run.write_text(text.replace("batch_size = 256", "batch_size = 16"))
+    assert _run(run, *PREP, "train") == [EXIT_OK] * 4
+    assert len((tmp_path / "out" / "loss.csv").read_text().splitlines()) == 3
+
+
+def test_unknown_train_key_is_a_config_error(tmp_path, capsys):
+    run = _write_run(tmp_path, extra="learning_rte = 1e-3\n")
+    assert _run(run, "train") == [EXIT_CONFIG]
+    assert "learning_rte" in capsys.readouterr().err
+
+
+def test_truncated_queries_is_an_io_error(tmp_path):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP) == [EXIT_OK] * 3
+    path = tmp_path / "out" / "queries.qoqs"
+    path.write_bytes(path.read_bytes()[:-7])
+    assert _run(run, "train") == [EXIT_IO]
+    assert not (tmp_path / "out" / "model.qofm").exists()
+
+
+@pytest.mark.parametrize("coordinate", [2, 3])
+def test_non_finite_query_is_a_validation_error(tmp_path, capsys, coordinate):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP) == [EXIT_OK] * 3
+    path = tmp_path / "out" / "queries.qoqs"
+    blob = bytearray(path.read_bytes())
+    # magic (4 bytes) and <IQH header (14), then records led by query <f4[4]
+    struct.pack_into("<f", blob, 4 + 14 + 4 * coordinate, float("nan"))
+    path.write_bytes(bytes(blob))
+    assert _run(run, "train") == [EXIT_VALIDATION]
+    assert "finite" in capsys.readouterr().err

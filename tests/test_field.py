@@ -22,6 +22,7 @@ from occfield import (
     write_field_model,
 )
 from occfield.errors import EmptyBatchError, TrainingDivergedError
+from occfield import field as field_module
 from occfield.field import _forward_raw
 
 
@@ -174,6 +175,16 @@ class TestBackward:
             np.testing.assert_allclose(w2, k * w1, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(b2, k * b1, rtol=1e-12, atol=1e-15)
 
+    def test_reused_grid_grad_buffer_is_zeroed_and_returned(self):
+        rng = np.random.default_rng(14)
+        model = _randomize(_small_model(), rng)
+        batch = _random_batch(rng, 30)
+        fresh, _ = backward(model, batch, TrainConfig(seed=0))
+        buf = np.full_like(model.grid.data, 7.0)
+        reused, _ = backward(model, batch, TrainConfig(seed=0), grid_grad=buf)
+        assert reused.grid is buf
+        np.testing.assert_array_equal(buf, fresh.grid)
+
 
 class TestTrain:
     def test_deterministic_and_finite(self):
@@ -184,6 +195,19 @@ class TestTrain:
         m2, h2 = train(_small_model(seed=1), batch, cfg)
         assert all(np.isfinite(r.total) for r in h1)
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
+            np.testing.assert_array_equal(p1, p2)
+        assert [r.total for r in h1] == [r.total for r in h2]
+
+    def test_chunked_optimizer_matches_whole_array_update(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        batch = _random_batch(rng, 200)
+        cfg = TrainConfig(total_steps=10, batch_size=32, warmup_steps=2, seed=4)
+        whole, h1 = train(_small_model(seed=1), batch, cfg)
+        # 5 elements a slice: the 8x8x4 grid and the weights go one row at a
+        # time, the 12-element biases in two slices
+        monkeypatch.setattr(field_module, "_ADAM_CHUNK", 5)
+        chunked, h2 = train(_small_model(seed=1), batch, cfg)
+        for p1, p2 in zip(whole.parameters(), chunked.parameters()):
             np.testing.assert_array_equal(p1, p2)
         assert [r.total for r in h1] == [r.total for r in h2]
 

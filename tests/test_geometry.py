@@ -19,6 +19,7 @@ from occfield import (
     project_point,
     uncontract_axis,
 )
+from occfield.geometry import ray_box
 
 P = ContractionParams(k_hr=40.0, beta=0.8)
 
@@ -228,3 +229,49 @@ class TestFourier:
             FourierConfig(0, 1.0, 10.0)
         with pytest.raises(ValueError):
             FourierConfig(4, 10.0, 1.0)
+
+
+class TestRayBox:
+    LO = np.array([0.0, 0.0, 0.0])
+    HI = np.array([1.0, 2.0, 1.0])
+
+    def test_through(self):
+        t_in, t_out = ray_box(np.array([-3.0, 0.5, 0.5]), np.array([1.0, 0.0, 0.0]), self.LO, self.HI)
+        assert (t_in, t_out) == (3.0, 4.0)
+
+    def test_miss(self):
+        d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        t_in, t_out = ray_box(np.array([-3.0, 0.5, 0.5]), d, self.LO, self.HI)
+        assert t_in > t_out
+
+    def test_parallel_inside(self):
+        # y and z components are zero; the origin lies within both slabs
+        t_in, t_out = ray_box(np.array([5.0, 2.0, 0.0]), np.array([-1.0, 0.0, 0.0]), self.LO, self.HI)
+        assert (t_in, t_out) == (4.0, 5.0)
+
+    def test_parallel_outside(self):
+        t_in, t_out = ray_box(np.array([-3.0, 2.5, 0.5]), np.array([1.0, 0.0, 0.0]), self.LO, self.HI)
+        assert t_in == np.inf and t_out == -np.inf
+
+    def test_inside_mask_overrides_closed_slab(self):
+        o, d = np.array([-3.0, 2.0, 0.5]), np.array([1.0, 0.0, 0.0])
+        t_in, t_out = ray_box(o, d, self.LO, self.HI, inside=np.array([True, False, True]))
+        assert t_in > t_out
+
+    def test_origin_inside(self):
+        d = np.array([0.0, 0.6, 0.8])
+        t_in, t_out = ray_box(np.array([0.5, 0.5, 0.5]), d, self.LO, self.HI)
+        assert t_in == pytest.approx(-0.625) and t_out == pytest.approx(0.625)
+
+    def test_broadcasts_and_clips_fewer_axes(self):
+        rng = np.random.default_rng(4)
+        o = rng.normal(size=(5, 1, 3))
+        d = rng.normal(size=(5, 1, 3))
+        lo = rng.normal(size=(7, 3))
+        hi = lo + rng.random((7, 3))
+        t_in, t_out = ray_box(o, d, lo, hi)
+        assert t_in.shape == t_out.shape == (5, 7)
+        one = ray_box(o[2, 0], d[2, 0], lo[4], hi[4])
+        assert (t_in[2, 4], t_out[2, 4]) == one
+        z_in, z_out = ray_box(o[..., 2:], d[..., 2:], lo[:, 2:], hi[:, 2:])
+        assert np.all(z_in <= t_in) and np.all(z_out >= t_out)

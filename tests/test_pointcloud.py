@@ -125,6 +125,20 @@ class TestIO:
         np.testing.assert_array_equal(back.dynamic_mask, table.dynamic_mask)
 
 
+class TestConcat:
+    def test_records_in_order(self):
+        rng = np.random.default_rng(5)
+        parts = [_random_cloud(rng, n, feature_dim=2, tag="unified") for n in (3, 0, 5)]
+        whole = PointCloud.concat(parts)
+        assert len(whole) == 8 and whole.source_tag == "unified" and whole.feature_dim == 2
+        for i, (k, j) in enumerate([(0, 0), (0, 1), (0, 2)] + [(2, j) for j in range(5)]):
+            a, b = whole.record(i), parts[k].record(j)
+            np.testing.assert_array_equal(a.position, b.position)
+            np.testing.assert_array_equal(a.origin, b.origin)
+            np.testing.assert_array_equal(a.feature, b.feature)
+            assert (a.time, a.class_id, a.dynamic_flag) == (b.time, b.class_id, b.dynamic_flag)
+
+
 class TestMinDepthFilter:
     def test_collinear_nearer_survives(self):
         origin = np.zeros(3)

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -226,3 +227,51 @@ class TestVoxelIO:
 
         with pytest.raises(BadMagicError):
             read_voxel_volume(io.BytesIO(b"XXXX" + b"\x00" * 64))
+
+    def test_float64_header_keeps_config_grid(self):
+        labels = np.full((100, 100, 6), FREE, dtype=np.int32)
+        labels[3, 4, 1] = 2
+        config_grid = VoxelVolume(labels, (-20.0, -20.0, -0.4), 0.4)
+        buf = io.BytesIO()
+        write_voxel_volume(config_grid, buf)
+        assert buf.getvalue()[4:8] == struct.pack("<I", 2)
+        back = read_voxel_volume(io.BytesIO(buf.getvalue()))
+        assert back.cell_size == 0.4
+        np.testing.assert_array_equal(back.mins, [-20.0, -20.0, -0.4])
+        assert back.same_grid(config_grid)
+        np.testing.assert_array_equal(back.labels, labels)
+
+    def test_version_1_still_reads(self):
+        labels = np.array([[[FREE, 0], [4, FREE]]], dtype=np.int32)
+        header = struct.pack("<I3If6f", 1, 1, 2, 2, 0.5, -1.0, 0.5, 0.25, -0.5, 1.5, 1.25)
+        cells = np.array([0, 1, 5, 0], dtype="<u2").tobytes()
+        back = read_voxel_volume(io.BytesIO(b"QOVX" + header + cells))
+        np.testing.assert_array_equal(back.labels, labels)
+        np.testing.assert_array_equal(back.mins, [-1.0, 0.5, 0.25])
+        assert back.cell_size == 0.5
+
+    def test_truncated_v2_header_and_unknown_version(self):
+        from occfield.errors import FormatVersionError, TruncatedFileError
+
+        vol = VoxelVolume(np.full((2, 2, 2), FREE, dtype=np.int32), np.zeros(3), 0.4)
+        buf = io.BytesIO()
+        write_voxel_volume(vol, buf)
+        blob = buf.getvalue()
+        # no version field; a whole version-1 header but not a version-2 one;
+        # one byte short of the version-2 header
+        for cut in (6, 50, 4 + 71):
+            with pytest.raises(TruncatedFileError):
+                read_voxel_volume(io.BytesIO(blob[:cut]))
+        with pytest.raises(TruncatedFileError):
+            read_voxel_volume(io.BytesIO(blob[:-1]))
+        with pytest.raises(FormatVersionError):
+            read_voxel_volume(io.BytesIO(blob[:4] + struct.pack("<I", 3) + blob[8:]))
+
+
+class TestSceneClasses:
+    def test_n_classes_from_table(self):
+        assert _basic_scene().n_classes == 3
+
+    def test_n_classes_from_primitives(self):
+        scene = SceneSpec((GroundSlab(-0.5, 0.0, 0), Box((0, 0, 1), (1, 1, 1), 4)))
+        assert scene.n_classes == 5

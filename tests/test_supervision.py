@@ -230,6 +230,13 @@ class TestBatchIO:
         np.testing.assert_array_equal(back.classes, batch.classes)
         np.testing.assert_array_equal(back.features, batch.features)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        q = np.zeros((3, 4))
+        q[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            QueryBatch(q, np.zeros(3, np.uint8), np.full(3, UNLABELED, np.uint16))
+
     def test_negative_with_class_rejected(self):
         with pytest.raises(ValueError):
             QueryBatch(np.zeros((1, 4)), np.array([0], np.uint8), np.array([2], np.uint16))
