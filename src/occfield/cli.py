@@ -10,6 +10,7 @@ divergence, 5 validation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import os
 import sys
@@ -162,12 +163,19 @@ def cmd_eval(cfg: RunConfig, seed: int) -> None:
     else:
         origin = read_scan_file(cfg.scan_path).origins()[0]
         rays = metrics.rays_to_gt_surface(gt, origin, cfg.metrics.tolerances)
-    rep = metrics.iou(pred, gt, scene.classes).merged(
-        metrics.ray_iou(pred, gt, rays, scene.classes)
+    vox = metrics.iou(pred, gt, scene.classes)
+    ray = metrics.ray_iou(pred, gt, rays, scene.classes)
+    rep = dataclasses.replace(
+        ray, n_classes=vox.n_classes, iou_per_class=vox.iou_per_class, iou_defined=vox.iou_defined,
+        mean_iou=vox.mean_iou, dynamic_mean_iou=vox.dynamic_mean_iou, occupancy_iou=vox.occupancy_iou,
     )
     _atomic_write(
         cfg.output_dir / "metrics.csv",
         lambda f: metrics.write_metrics_csv(rep, f, scene.classes),
+    )
+    _atomic_write(
+        cfg.output_dir / "ray_counts.csv",
+        lambda f: metrics.write_ray_counts_csv(ray, f, scene.classes),
     )
     print("eval: mean_iou,dyn_iou,occ_iou,mean_rayiou,dyn_rayiou,occ_rayiou")
     print("eval: " + metrics.summary_line(rep))

@@ -5,7 +5,8 @@ that predicts an occupancy logit, semantic logits, and optionally a feature
 vector for any 4D query.  Gradients are computed analytically (closed-form
 backprop, including the bilinear scatter back into the grid) and verified
 against finite differences in the test suite.  Training uses Adam moments
-with decoupled weight decay, linear warmup, and cosine decay.
+with decoupled weight decay, linear warmup, and cosine decay.  Inference
+(``forward_batch``) keeps no backprop cache and no derivatives.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ class FieldModel:
         n_classes: int,
         feature_dim: int,
     ):
+        if n_classes < 1:
+            raise ValueError(f"n_classes must be at least 1, got {n_classes}")
         self.grid = grid
         self.layers = layers
         self.fourier = fourier
@@ -170,8 +173,8 @@ def log_frequency_weights(frequencies: np.ndarray) -> np.ndarray:
     return np.ones_like(w) if mean <= 0 else w / mean
 
 
-def _forward_raw(model: FieldModel, queries: np.ndarray):
-    """Shared forward pass; returns head outputs plus the backprop cache."""
+def _encode(model: FieldModel, queries: np.ndarray):
+    """Decoder input [grid feature | fourier(z) | fourier(t)] and bilinear footprint."""
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
     iy, ix, bw = bilinear_setup(q[:, 0], q[:, 1], model.grid)
     g = np.einsum("nk,nkc->nc", bw, model.grid.data[iy, ix])
@@ -179,8 +182,13 @@ def _forward_raw(model: FieldModel, queries: np.ndarray):
         [g, fourier_encode_batch(q[:, 2], model.fourier), fourier_encode_batch(q[:, 3], model.fourier)],
         axis=1,
     )
-    h = enc
-    acts = [enc]
+    return enc, iy, ix, bw
+
+
+def _forward_raw(model: FieldModel, queries: np.ndarray):
+    """Training forward pass; returns head outputs plus the backprop cache."""
+    h, iy, ix, bw = _encode(model, queries)
+    acts = [h]
     derivs = []
     for w, b in model.layers[:-1]:
         a = h @ w + b
@@ -248,9 +256,20 @@ def forward(model: FieldModel, q: Query4) -> FieldOutput:
 def forward_batch(
     model: FieldModel, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized forward: (occ_prob (N,), semantic_probs (N,S), feature (N,F))."""
-    occ_logit, sem_logits, feat, _ = _forward_raw(model, queries)
-    return _sigmoid(occ_logit), _softmax(sem_logits), feat
+    """Vectorized inference: (occ_prob (N,), semantic_probs (N,S), feature (N,F)).
+    Keeps no backprop cache: two buffers serve every hidden layer, and squareplus
+    runs in place in ``_squareplus``'s order, so outputs equal training's bit for bit."""
+    h, a = _encode(model, queries)[0], None
+    for w, b in model.layers[:-1]:
+        a = np.matmul(h, w, out=a if a is not None and a.shape[1] == w.shape[1] else None)
+        a += b
+        s = h if h.shape == a.shape else np.empty_like(a)  # h is spent once a holds h @ w
+        np.sqrt(np.add(np.multiply(a, a, out=s), 4.0, out=s), out=s)  # sqrt(a*a + 4)
+        h = np.multiply(np.add(s, a, out=s), 0.5, out=s)  # 0.5 * (a + sqrt(a*a + 4))
+    w, b = model.layers[-1]
+    out = h @ w + b
+    n = model.n_classes
+    return _sigmoid(out[:, 0]), _softmax(out[:, 1 : 1 + n]), out[:, 1 + n :]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -316,7 +335,7 @@ def _loss_terms(model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=
 
     # semantics: class-weighted categorical cross-entropy over labeled positives
     w_c = _class_weights(model, cfg)
-    sem_mask = (batch.occupancy[idx] == 1) & (cls_t != UNLABELED) & (model.n_classes > 0)
+    sem_mask = (batch.occupancy[idx] == 1) & (cls_t != UNLABELED)
     n_sem = int(sem_mask.sum())
     d_sem = np.zeros_like(sem_logits)
     l_sem = 0.0
@@ -480,7 +499,7 @@ def render_ray(
     w = trans[:-1] * occ
     mass = w.sum()
     if mass < RENDER_EPS:
-        uniform = np.full(model.n_classes, 1.0 / max(model.n_classes, 1))
+        uniform = np.full(model.n_classes, 1.0 / model.n_classes)
         return RenderResult(float(depths[-1]), uniform, trans, True)
     depth = float((w * depths).sum() / mass)
     semantics = (w[:, None] * sem).sum(axis=0) / mass

@@ -38,10 +38,11 @@ __all__ = [
     "first_hits",
     "first_hits_exact",
     "write_metrics_csv",
+    "write_ray_counts_csv",
     "summary_line",
 ]
 
-_CHUNK = 65536
+_CHUNK = 16384  # voxels per inference chunk: one 16,384 x 160 activation is 21 MB
 _ORACLE_PAIRS = 1 << 21  # ray x cell pairs per slab-test chunk of the oracle
 
 
@@ -69,15 +70,6 @@ class MetricsReport:
     ray_counts: np.ndarray | None = None  # (n_classes, n_tolerances, [TP, FP, FN])
     occ_ray_counts: np.ndarray | None = None  # (n_tolerances, [TP, FP, FN])
     zero_support: bool = False
-
-    def merged(self, other: "MetricsReport") -> "MetricsReport":
-        out = dataclasses.replace(self)
-        for f in dataclasses.fields(other):
-            v = getattr(other, f.name)
-            if getattr(out, f.name) is None and v is not None:
-                setattr(out, f.name, v)
-        out.zero_support = self.zero_support or other.zero_support
-        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -381,11 +373,15 @@ def summary_line(report: MetricsReport) -> str:
     )
 
 
+def _class_name(c: int, classes: ClassTable | None) -> str:
+    return classes.names[c] if classes is not None and c < classes.n_classes else str(c)
+
+
 def write_metrics_csv(report: MetricsReport, destination, classes: ClassTable | None = None) -> None:
     """Per-class rows `class,iou,rayiou,support` then one summary line."""
     lines = ["class,iou,rayiou,support\n"]
     for c in range(report.n_classes):
-        name = classes.names[c] if classes is not None and c < classes.n_classes else str(c)
+        name = _class_name(c, classes)
         iou_v = ""
         if report.iou_per_class is not None and report.iou_defined is not None:
             iou_v = f"{report.iou_per_class[c]:.6f}" if report.iou_defined[c] else ""
@@ -398,4 +394,14 @@ def write_metrics_csv(report: MetricsReport, destination, classes: ClassTable | 
         lines.append(f"{name},{iou_v},{ray_v},{sup}\n")
     lines.append("# mean_iou,dyn_iou,occ_iou,mean_rayiou,dyn_rayiou,occ_rayiou\n")
     lines.append(summary_line(report) + "\n")
+    write_bytes(destination, "".join(lines).encode())
+
+
+def write_ray_counts_csv(report: MetricsReport, destination, classes: ClassTable | None = None) -> None:
+    """RayIoU rows `class,tolerance,tp,fp,fn`: each scored class, then `occupancy`."""
+    names = [_class_name(c, classes) for c in range(len(report.ray_counts))] + ["occupancy"]
+    lines = ["class,tolerance,tp,fp,fn\n"]
+    for name, counts in zip(names, [*report.ray_counts, report.occ_ray_counts]):
+        for tau, (tp, fp, fn) in zip(report.depth_tolerances, counts):
+            lines.append(f"{name},{tau},{tp},{fp},{fn}\n")
     write_bytes(destination, "".join(lines).encode())

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from occfield import brute_force_ray_iou, iou, ray_iou, read_voxel_volume, rays_from_scan
+from occfield import brute_force_ray_iou, iou, metrics, ray_iou, read_voxel_volume, rays_from_scan
 from occfield.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from occfield.config import read_run_config, read_scan_file
 from occfield.scene import VoxelVolume
@@ -105,7 +105,7 @@ def test_all_six_commands(tmp_path):
     expected = [
         "gt.qovx", "classes.txt", "scan_000.qopc", "scan_001.qopc", "scan_002.qopc",
         "queries.qoqs", "validation.txt", "model.qofm", "loss.csv", "metrics.csv",
-        "contraction_table.txt", "depth_bins.txt", "bev_mass.ppm",
+        "ray_counts.csv", "contraction_table.txt", "depth_bins.txt", "bev_mass.ppm",
     ]
     for name in expected:
         assert (out / name).stat().st_size > 0, name
@@ -131,6 +131,39 @@ def test_ground_truth_scores_one_against_itself(tmp_path):
         rep = score(config_grid, gt, rays)
         assert rep.mean_rayiou == 1.0 and rep.occupancy_rayiou == 1.0
         assert not rep.zero_support
+
+
+def test_ground_truth_eval_counts_no_false_rays(tmp_path, monkeypatch):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP, "train") == [EXIT_OK] * 4
+    out = tmp_path / "out"
+    gt = read_voxel_volume(out / "gt.qovx")
+    monkeypatch.setattr(metrics, "predict_volume", lambda *args, **kwargs: gt)
+    assert _run(run, "eval") == [EXIT_OK]
+    lines = (out / "ray_counts.csv").read_text().splitlines()
+    assert lines[0] == "class,tolerance,tp,fp,fn"
+    rows = [line.split(",") for line in lines[1:]]
+    names = ["ground", "block", "mover", "occupancy"]
+    assert [(r[0], r[1]) for r in rows] == [(c, t) for c in names for t in ("1.0", "2.0", "4.0")]
+    tp, fp, fn = (np.array([int(r[k]) for r in rows]) for k in (2, 3, 4))
+    assert tp[-1] > 0 and not fp.any() and not fn.any()
+    # every occupancy hit is a class hit at every tolerance
+    np.testing.assert_array_equal(tp[-3:], tp[:-3].reshape(3, 3).sum(axis=0))
+
+
+def test_zero_class_model_is_a_validation_error(tmp_path, capsys):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP, "train") == [EXIT_OK] * 4
+    path = tmp_path / "out" / "model.qofm"
+    blob = bytearray(path.read_bytes())
+    # magic, <II version and size count, the layer sizes, then n_classes and
+    # feature_dim: move every class to the feature head, so the widths chain
+    off = 12 + 4 * struct.unpack_from("<I", blob, 8)[0]
+    n_classes, feature_dim = struct.unpack_from("<II", blob, off)
+    struct.pack_into("<II", blob, off, 0, feature_dim + n_classes)
+    path.write_bytes(bytes(blob))
+    assert _run(run, "eval") == [EXIT_VALIDATION]
+    assert "n_classes" in capsys.readouterr().err
 
 
 def test_rendering_mode_trains(tmp_path):

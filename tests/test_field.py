@@ -1,10 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from occfield import (
     ContractionParams,
+    FieldModel,
     FourierConfig,
     Query4,
     QueryBatch,
@@ -74,6 +76,48 @@ class TestForward:
         b = forward(model, q)
         assert a.occ_prob == b.occ_prob
         np.testing.assert_array_equal(a.semantic_probs, b.semantic_probs)
+
+
+class TestInference:
+    @pytest.mark.parametrize("widths", [(12, 12), (12, 7)])
+    @pytest.mark.parametrize("feature_dim", [0, 2])
+    def test_bitwise_equal_to_training_forward(self, feature_dim, widths):
+        rng = np.random.default_rng(4)
+        base = _randomize(_small_model(feature_dim=feature_dim), rng)
+        sizes = [base.layer_sizes[0], *widths, base.layer_sizes[-1]]
+        layers = [
+            (rng.standard_normal((i, o)) * 0.5, rng.standard_normal(o) * 0.1)
+            for i, o in zip(sizes, sizes[1:])
+        ]
+        model = FieldModel(base.grid, layers, base.fourier, 3, feature_dim)
+        q = _random_batch(rng, 300).queries
+        occ_logit, sem_logits, feat, _ = _forward_raw(model, q)
+        occ_p, sem_p, feat_out = forward_batch(model, q)
+        np.testing.assert_array_equal(occ_p, field_module._sigmoid(occ_logit))
+        np.testing.assert_array_equal(sem_p, field_module._softmax(sem_logits))
+        np.testing.assert_array_equal(feat_out, feat)
+        assert feat_out.shape == (300, feature_dim)
+
+    def test_keeps_no_activation_cache(self):
+        n, width = 8192, 160
+        model = _randomize(
+            init_field_model(ContractionParams(10.0, 0.8), n_classes=3, grid_size=8,
+                             hidden_width=width, hidden_layers=4),
+            np.random.default_rng(5), scale=0.05,
+        )
+        q = _random_batch(np.random.default_rng(6), n).queries
+        tracemalloc.start()
+        try:
+            forward_batch(model, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the training forward holds about 10.6 such arrays, inference 2.6
+        assert peak < 4 * n * width * 8
+
+    def test_zero_classes_rejected(self):
+        with pytest.raises(ValueError, match="n_classes"):
+            _small_model(n_classes=0)
 
 
 class TestLoss:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from occfield import brute_force_ray_iou, iou, ray_iou
+from occfield import (
+    ContractionParams, FourierConfig, brute_force_ray_iou, init_field_model, iou,
+    predict_volume, ray_iou,
+)
 from occfield import metrics
 from occfield.metrics import RayIoUConfig, first_hits, first_hits_exact
 from occfield.scene import FREE, VoxelVolume
@@ -203,3 +206,33 @@ class TestScores:
         b = VoxelVolume(a.labels, np.zeros(3), np.float32(0.4))
         with pytest.raises(ValueError, match="grids differ"):
             iou(a, b)
+
+
+class TestPredictVolume:
+    @staticmethod
+    def _model():
+        model = init_field_model(
+            ContractionParams(10.0, 0.8), n_classes=4, grid_size=8, grid_channels=4,
+            fourier=FourierConfig(3, 1.0, 10.0), hidden_width=12, hidden_layers=2, seed=1,
+        )
+        rng = np.random.default_rng(3)
+        for w, _ in model.layers:
+            w += rng.standard_normal(w.shape)
+        model.grid.data += rng.standard_normal(model.grid.data.shape)
+        return model
+
+    def test_chunk_size_does_not_change_labels(self, monkeypatch):
+        model = self._model()
+        maxs = MINS + CELL * np.array(DIMS)
+        default = predict_volume(model, MINS, maxs, CELL, time=0.25)
+        assert len(np.unique(default.labels)) > 2  # free and several classes
+        for chunk in (7, default.labels.size):
+            monkeypatch.setattr(metrics, "_CHUNK", chunk)
+            other = predict_volume(model, MINS, maxs, CELL, time=0.25)
+            np.testing.assert_array_equal(other.labels, default.labels)
+
+    def test_extents_must_be_whole_cells(self):
+        model = self._model()
+        for maxs in (MINS + [3.0, 2.5, 2.2], MINS):
+            with pytest.raises(ValueError, match="whole number of cells"):
+                predict_volume(model, MINS, maxs, CELL)
