@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -40,25 +41,47 @@ def _parser(path: Path) -> configparser.ConfigParser:
     return cp
 
 
-def _check_keys(path: Path, section: str, items: dict, known: dict):
+def _values(path: Path, section: str, items: dict, known: dict, required=()) -> dict:
+    """One section's values, each converted by its key's parser in ``known``.
+
+    Unknown or missing keys and values the parser rejects are ConfigErrors.
+    """
     for key in items:
         if key not in known:
             raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+    for key in required:
+        if key not in items:
+            raise ConfigError(f"{path}: [{section}] requires {key!r}")
+    values = {}
+    for key, raw in items.items():
+        try:
+            values[key] = known[key](raw)
+        except ValueError as e:
+            raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {e}") from None
+    return values
 
 
 def _floats(raw: str, n: int | None = None) -> tuple[float, ...]:
     vals = tuple(float(v) for v in raw.split())
     if n is not None and len(vals) != n:
-        raise ConfigError(f"expected {n} numbers, got {raw!r}")
+        raise ValueError(f"expected {n} numbers")
     return vals
 
 
+def _vec2(raw: str) -> tuple[float, ...]:
+    return _floats(raw, 2)
+
+
+def _vec3(raw: str) -> tuple[float, ...]:
+    return _floats(raw, 3)
+
+
 _SCENE_KEYS = {"bounds": float, "classes": str}
-_SLAB_KEYS = {"class": int, "z_min": float, "z_max": float, "velocity": str}
-_BOX_KEYS = {"class": int, "center": str, "size": str, "velocity": str}
+_SLAB_KEYS = {"class": int, "z_min": float, "z_max": float, "velocity": _vec3}
+_BOX_KEYS = {"class": int, "center": _vec3, "size": _vec3, "velocity": _vec3}
 _CYL_KEYS = {
-    "class": int, "center": str, "radius": float,
-    "z_min": float, "z_max": float, "velocity": str,
+    "class": int, "center": _vec2, "radius": float,
+    "z_min": float, "z_max": float, "velocity": _vec3,
 }
 
 
@@ -71,31 +94,29 @@ def read_scene_file(path) -> SceneSpec:
     for section in cp.sections():
         items = dict(cp.items(section))
         if section == "scene":
-            _check_keys(path, section, items, _SCENE_KEYS)
-            bounds = float(items.get("bounds", bounds))
-            if "classes" in items:
-                classes = read_class_table(path.parent / items["classes"])
+            v = _values(path, section, items, _SCENE_KEYS)
+            bounds = v.get("bounds", bounds)
+            if "classes" in v:
+                classes = read_class_table(path.parent / v["classes"])
         elif section.startswith("slab:"):
-            _check_keys(path, section, items, _SLAB_KEYS)
+            v = _values(path, section, items, _SLAB_KEYS, ("class", "z_min", "z_max"))
             primitives.append(GroundSlab(
-                z_min=float(items["z_min"]), z_max=float(items["z_max"]),
-                class_id=int(items["class"]),
-                velocity=_floats(items.get("velocity", "0 0 0"), 3),
+                z_min=v["z_min"], z_max=v["z_max"], class_id=v["class"],
+                velocity=v.get("velocity", (0.0, 0.0, 0.0)),
             ))
         elif section.startswith("box:"):
-            _check_keys(path, section, items, _BOX_KEYS)
+            v = _values(path, section, items, _BOX_KEYS, ("class", "center", "size"))
             primitives.append(Box(
-                center=_floats(items["center"], 3), size=_floats(items["size"], 3),
-                class_id=int(items["class"]),
-                velocity=_floats(items.get("velocity", "0 0 0"), 3),
+                center=v["center"], size=v["size"], class_id=v["class"],
+                velocity=v.get("velocity", (0.0, 0.0, 0.0)),
             ))
         elif section.startswith("cylinder:"):
-            _check_keys(path, section, items, _CYL_KEYS)
+            v = _values(
+                path, section, items, _CYL_KEYS, ("class", "center", "radius", "z_min", "z_max")
+            )
             primitives.append(Cylinder(
-                center=_floats(items["center"], 2), radius=float(items["radius"]),
-                z_min=float(items["z_min"]), z_max=float(items["z_max"]),
-                class_id=int(items["class"]),
-                velocity=_floats(items.get("velocity", "0 0 0"), 3),
+                center=v["center"], radius=v["radius"], z_min=v["z_min"], z_max=v["z_max"],
+                class_id=v["class"], velocity=v.get("velocity", (0.0, 0.0, 0.0)),
             ))
         else:
             raise ConfigError(f"{path}: unknown section [{section}]")
@@ -105,8 +126,8 @@ def read_scene_file(path) -> SceneSpec:
         raise ConfigError(f"{path}: {e}")
 
 
-_SCAN_KEYS = {"timesteps": str, "max_range": float, "noise_sigma": float}
-_ORIGIN_KEYS = {"start": str, "velocity": str}
+_SCAN_KEYS = {"timesteps": _floats, "max_range": float, "noise_sigma": float}
+_ORIGIN_KEYS = {"start": _vec3, "velocity": _vec3}
 _RAY_KEYS = {
     "azimuth_count": int, "elevation_count": int,
     "elevation_min": float, "elevation_max": float,
@@ -121,22 +142,15 @@ def read_scan_file(path) -> ScanSpec:
     for section in cp.sections():
         items = dict(cp.items(section))
         if section == "scan":
-            _check_keys(path, section, items, _SCAN_KEYS)
-            kw["timesteps"] = _floats(items["timesteps"])
-            if "max_range" in items:
-                kw["max_range"] = float(items["max_range"])
-            if "noise_sigma" in items:
-                kw["noise_sigma"] = float(items["noise_sigma"])
+            kw.update(_values(path, section, items, _SCAN_KEYS))
         elif section == "origin":
-            _check_keys(path, section, items, _ORIGIN_KEYS)
-            kw["origin_start"] = _floats(items["start"], 3)
-            if "velocity" in items:
-                kw["origin_velocity"] = _floats(items["velocity"], 3)
+            v = _values(path, section, items, _ORIGIN_KEYS)
+            if "start" in v:
+                kw["origin_start"] = v["start"]
+            if "velocity" in v:
+                kw["origin_velocity"] = v["velocity"]
         elif section == "rays":
-            _check_keys(path, section, items, _RAY_KEYS)
-            for key, conv in _RAY_KEYS.items():
-                if key in items:
-                    kw[key] = conv(items[key])
+            kw.update(_values(path, section, items, _RAY_KEYS))
         else:
             raise ConfigError(f"{path}: unknown section [{section}]")
     if "timesteps" not in kw or "origin_start" not in kw:
@@ -227,7 +241,7 @@ _GRID_KEYS = {
     "x_min": float, "x_max": float, "y_min": float, "y_max": float,
     "z_min": float, "z_max": float, "cell_size": float,
 }
-_METRICS_KEYS = {"occ_threshold": float, "tolerances": str, "ray_source": str}
+_METRICS_KEYS = {"occ_threshold": float, "tolerances": _floats, "ray_source": str}
 _GEOMETRY_KEYS = {
     "d_near": float, "d_far": float, "alpha": float, "n_bins": int,
     "infinity_bin": float,
@@ -244,71 +258,59 @@ def read_run_config(path) -> RunConfig:
     if not cp.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
 
-    run = dict(cp.items("run"))
-    _check_keys(path, "run", run, _RUN_KEYS)
-    for req in ("scene", "scan", "output_dir"):
-        if req not in run:
-            raise ConfigError(f"{path}: [run] requires {req!r}")
+    run = _values(path, "run", dict(cp.items("run")), _RUN_KEYS, ("scene", "scan", "output_dir"))
     base = path.parent
 
-    sampling = {}
-    if cp.has_section("sampling"):
-        items = dict(cp.items("sampling"))
-        _check_keys(path, "sampling", items, _SAMPLING_KEYS)
-        sampling = {k: _SAMPLING_KEYS[k](v) for k, v in items.items()}
+    def values_of(name: str, known: dict) -> dict:
+        return _values(path, name, dict(cp.items(name)), known) if cp.has_section(name) else {}
 
-    train_kw = {}
-    if cp.has_section("train"):
-        items = dict(cp.items("train"))
-        _check_keys(path, "train", items, _TRAIN_KEYS)
-        train_kw = {k: _TRAIN_KEYS[k](v) for k, v in items.items()}
-    train = TrainSettings(**train_kw)
+    sampling = values_of("sampling", _SAMPLING_KEYS)
+    train = TrainSettings(**values_of("train", _TRAIN_KEYS))
     if train.mode not in ("query", "rendering"):
         raise ConfigError(f"{path}: train mode must be 'query' or 'rendering'")
 
-    if cp.has_section("grid"):
-        items = dict(cp.items("grid"))
-        _check_keys(path, "grid", items, _GRID_KEYS)
-        g = {k: _GRID_KEYS[k](v) for k, v in items.items()}
-    else:
-        g = {}
+    g = values_of("grid", _GRID_KEYS)
     grid = GridConfig(
         (g.get("x_min", -20.0), g.get("y_min", -20.0), g.get("z_min", -2.0)),
         (g.get("x_max", 20.0), g.get("y_max", 20.0), g.get("z_max", 2.0)),
         g.get("cell_size", 0.4),
     )
+    if not all(math.isfinite(x) for x in (*grid.mins, *grid.maxs, grid.cell_size)):
+        raise ConfigError(f"{path}: [grid] values must be finite")
+    if grid.cell_size <= 0:
+        raise ConfigError(f"{path}: [grid] cell_size must be positive")
+    if any(lo >= hi for lo, hi in zip(grid.mins, grid.maxs)):
+        raise ConfigError(f"{path}: [grid] every min must lie below its max")
 
-    metrics = MetricsConfig()
-    if cp.has_section("metrics"):
-        items = dict(cp.items("metrics"))
-        _check_keys(path, "metrics", items, _METRICS_KEYS)
-        metrics = MetricsConfig(
-            occ_threshold=float(items.get("occ_threshold", 0.5)),
-            tolerances=_floats(items.get("tolerances", "1 2 4")),
-            ray_source=items.get("ray_source", "scan"),
-        )
-        if metrics.ray_source not in ("scan", "surface"):
-            raise ConfigError(f"{path}: ray_source must be 'scan' or 'surface'")
+    m = values_of("metrics", _METRICS_KEYS)
+    metrics = MetricsConfig(
+        occ_threshold=m.get("occ_threshold", 0.5),
+        tolerances=m.get("tolerances", (1.0, 2.0, 4.0)),
+        ray_source=m.get("ray_source", "scan"),
+    )
+    if metrics.ray_source not in ("scan", "surface"):
+        raise ConfigError(f"{path}: ray_source must be 'scan' or 'surface'")
+    if not 0.0 <= metrics.occ_threshold <= 1.0:  # NaN fails this too
+        raise ConfigError(f"{path}: occ_threshold must lie in [0, 1]")
+    taus = metrics.tolerances
+    increasing = all(a < b for a, b in zip(taus, taus[1:]))
+    if not taus or not increasing or not all(0 < t < math.inf for t in taus):
+        raise ConfigError(f"{path}: tolerances must be finite, positive and increasing")
 
-    geometry = DepthBinning()
-    if cp.has_section("geometry"):
-        items = dict(cp.items("geometry"))
-        _check_keys(path, "geometry", items, _GEOMETRY_KEYS)
-        geometry = DepthBinning(
-            d_near=float(items.get("d_near", 40.0)),
-            d_far=float(items.get("d_far", 100.0)),
-            alpha=float(items.get("alpha", 0.3)),
-            n_bins=int(items.get("n_bins", 64)),
-            infinity_bin_depth=(
-                float(items["infinity_bin"]) if "infinity_bin" in items else 180.0
-            ),
-        )
+    geo = values_of("geometry", _GEOMETRY_KEYS)
+    geometry = DepthBinning(
+        d_near=geo.get("d_near", 40.0),
+        d_far=geo.get("d_far", 100.0),
+        alpha=geo.get("alpha", 0.3),
+        n_bins=geo.get("n_bins", 64),
+        infinity_bin_depth=geo.get("infinity_bin", 180.0),
+    )
 
     return RunConfig(
         scene_path=base / run["scene"],
         scan_path=base / run["scan"],
         output_dir=base / run["output_dir"],
-        seed=int(run["seed"]) if "seed" in run else None,
+        seed=run.get("seed"),
         sampling=sampling,
         train=train,
         grid=grid,

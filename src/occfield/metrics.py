@@ -8,7 +8,9 @@ values are averaged over the tolerance set.
 Cells are half-open: a point belongs to cell floor((p - mins) / cell_size),
 so a ray running along a face plane lies in the cells above it.
 ``first_hits`` finds the first occupied cell by integer grid traversal
-(Amanatides & Woo).  ``first_hits_exact`` and ``brute_force_ray_iou`` are the
+(Amanatides & Woo); given several volumes on one grid it walks each ray once
+and reports each volume's first hit, so ``ray_iou`` walks ground truth and
+prediction together.  ``first_hits_exact`` and ``brute_force_ray_iou`` are the
 independent oracle: they slab-test every ray against the box of every
 occupied cell, in chunks, and take the nearest entry.
 """
@@ -85,6 +87,10 @@ class RayIoUConfig:
         d = np.asarray(self.directions, dtype=np.float64).reshape(-1, 3)
         if len(o) != len(d):
             raise ValueError("origins and directions must pair up")
+        # min and max carry any NaN or infinity, without a full-size mask
+        ends = [o.min(initial=0.0), o.max(initial=0.0), d.min(initial=0.0), d.max(initial=0.0)]
+        if not np.isfinite(ends).all():
+            raise ValueError("ray origins and directions must be finite")
         n = np.linalg.norm(d, axis=1)
         if np.any(np.abs(n - 1.0) > 1e-9):
             raise ValueError("directions must be unit-norm")
@@ -191,68 +197,105 @@ def iou(
 
 
 def first_hits(
-    vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray, *others: VoxelVolume
+) -> tuple[np.ndarray, ...]:
     """March rays through the voxel grid (integer stepping) to the first
-    occupied cell.  Returns (hit, class, entry_depth) per ray."""
+    occupied cell of ``vol`` and of each volume in ``others``.
+
+    The volumes must share ``vol``'s grid (``ValueError`` otherwise), and each
+    ray is walked once for all of them: bit i of a per-cell mask is set where
+    volume i is occupied, and a ray stays active until every volume has hit or
+    it leaves the grid.  Returns (hit, class, entry_depth) per ray for ``vol``,
+    then the same three arrays for each of ``others`` in turn, as one tuple;
+    each volume's arrays are bitwise those of walking it alone on ``vol``'s grid.
+    """
+    vols = (vol, *others)
+    if not all(vol.same_grid(v) for v in others):
+        raise ValueError("first_hits volumes lie on different grids")
     n = len(origins)
-    hit = np.zeros(n, dtype=bool)
-    cls = np.full(n, FREE, dtype=np.int32)
-    depth = np.full(n, np.inf)
+    out = [
+        (np.zeros(n, dtype=bool), np.full(n, FREE, dtype=np.int32), np.full(n, np.inf))
+        for _ in vols
+    ]
+    # The mask is padded by one layer of cells that hold only the outside bit,
+    # so a ray that steps off the grid lands on one of them instead of wrapping
+    # around in the flat cell index.
     dims = np.array(vol.dims)
+    strides = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
+    bit_type = np.min_scalar_type((2 << len(vols)) - 1).type
+    outside = bit_type(1 << len(vols))
+    finished = bit_type((2 << len(vols)) - 1)  # every volume hit, plus the outside bit
+    occupied = sum(v.occupancy.astype(bit_type) << bit_type(i) for i, v in enumerate(vols))
+    bits = np.pad(occupied, 1, constant_values=outside).ravel()
+    labels = [np.pad(v.labels, 1).ravel() for v in vols]
 
     # half-open like the cells: a ray along the grid's upper face is outside it
     inside = (origins >= vol.mins) & (origins < vol.maxs)
     t_in, t_out = ray_box(origins, dirs, vol.mins, vol.maxs, inside)
     t_in = np.maximum(t_in, 0.0)
-    active = t_in <= t_out
-
-    start = origins + np.where(active, t_in, 0.0)[:, None] * dirs
+    # The walk keeps state for the active rays only: row r is ray ids[r], and
+    # tmax, tdelta and move hold one row per axis.
+    ids = np.flatnonzero(t_in <= t_out)
+    o, d, t_cur, t_out = origins[ids], dirs[ids], t_in[ids], t_out[ids]
     cur = np.clip(
-        np.floor((start - vol.mins) / vol.cell_size).astype(np.int64), 0, dims - 1
+        np.floor((o + t_cur[:, None] * d - vol.mins) / vol.cell_size).astype(np.int64),
+        0, dims - 1,
     )
-    step = np.sign(dirs).astype(np.int64)
+    step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         boundary = vol.mins + (cur + (step > 0)) * vol.cell_size
-        tmax = np.where(dirs != 0, (boundary - origins) / dirs, np.inf)
-        tdelta = np.where(dirs != 0, vol.cell_size / np.abs(dirs), np.inf)
-    t_cur = t_in.copy()
+        tmax = np.where(d != 0, (boundary - o) / d, np.inf).T.copy()
+        tdelta = np.where(d != 0, vol.cell_size / np.abs(d), np.inf).T.copy()
+    move = (step * strides).T.copy()
+    flat = (cur + 1) @ strides
+    # bit i: volume i has hit; the outside bit keeps outside cells from counting
+    done = np.full(len(ids), outside)
 
-    occ = vol.occupancy
-    labels = vol.labels
-    while active.any():
-        ai = np.flatnonzero(active)
-        c = cur[ai]
-        occupied = occ[c[:, 0], c[:, 1], c[:, 2]]
-        newly = ai[occupied]
-        hit[newly] = True
-        cls[newly] = labels[c[occupied, 0], c[occupied, 1], c[occupied, 2]]
-        depth[newly] = t_cur[newly]
-        active[newly] = False
+    while len(ids):
+        cell = bits[flat]
+        new = cell & ~done
+        rows = np.flatnonzero(new)
+        for i, (hit, cls, depth) in enumerate(out):
+            r = rows[(new[rows] >> bit_type(i)) & 1 != 0]
+            hit[ids[r]] = True
+            cls[ids[r]] = labels[i][flat[r]]
+            depth[ids[r]] = t_cur[r]
+        done |= new
 
-        ai = np.flatnonzero(active)
-        if len(ai) == 0:
-            break
-        axis = np.argmin(tmax[ai], axis=1)
-        t_next = tmax[ai, axis]
-        done = t_next > t_out[ai]
-        active[ai[done]] = False
-        ai = ai[~done]
-        axis = axis[~done]
-        cur[ai, axis] += step[ai, axis]
-        t_cur[ai] = tmax[ai, axis]
-        tmax[ai, axis] += tdelta[ai, axis]
-        oob = (cur[ai, axis] < 0) | (cur[ai, axis] >= dims[axis])
-        active[ai[oob]] = False
-    return hit, cls, depth
+        # Step along the first axis whose boundary is nearest, as argmin would;
+        # lin indexes the flat (axis, row) storage of tmax, tdelta and move.
+        x, y, z = tmax
+        m = np.minimum(np.minimum(x, y), z)
+        not_x = x != m
+        lin = not_x.astype(np.intp)
+        lin += not_x & (y != m)
+        lin *= len(ids)
+        lin += np.arange(len(ids))
+        t_cur = tmax.take(lin)
+        tmax.put(lin, t_cur + tdelta.take(lin))
+        flat += move.take(lin)
+        # a ray on an outside cell has left the grid; past t_out it is leaving
+        keep = (cell < outside) & (done != finished) & (t_cur <= t_out)
+        if not keep.all():
+            k = np.flatnonzero(keep)
+            ids, t_out, t_cur, flat, done = ids[k], t_out[k], t_cur[k], flat[k], done[k]
+            tmax, tdelta, move = tmax.take(k, axis=1), tdelta.take(k, axis=1), move.take(k, axis=1)
+    return tuple(a for hits in out for a in hits)
 
 
 def first_hits_exact(
-    vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact oracle for :func:`first_hits`: each ray's nearest entry (clamped
-    at 0) into any occupied cell's box, half-open on axes the ray parallels.
-    Of cells entered at one depth, the first in C order gives the class."""
+    vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray, *others: VoxelVolume
+) -> tuple[np.ndarray, ...]:
+    """Exact oracle for :func:`first_hits`, with the same arguments and
+    results: each ray's nearest entry (clamped at 0) into any occupied cell's
+    box, half-open on axes the ray parallels.  Of cells entered at one depth,
+    the first in C order gives the class."""
+    if not all(vol.same_grid(v) for v in others):
+        raise ValueError("first_hits volumes lie on different grids")
+    return tuple(a for v in (vol, *others) for a in _exact_hits(v, origins, dirs))
+
+
+def _exact_hits(vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray):
     n = len(origins)
     cls = np.full(n, FREE, dtype=np.int32)
     depth = np.full(n, np.inf)
@@ -333,11 +376,8 @@ def _ray_metric(pred, gt, cfg, classes, hit_fn) -> MetricsReport:
     if classes is not None:
         n_classes = max(n_classes, classes.n_classes)
     n_classes = max(n_classes, 1)
-    gt_hit, gt_cls, gt_depth = hit_fn(gt, cfg.origins, cfg.directions)
-    pr_hit, pr_cls, pr_depth = hit_fn(pred, cfg.origins, cfg.directions)
-    return _count_and_score(
-        gt_hit, gt_cls, gt_depth, pr_hit, pr_cls, pr_depth, cfg, n_classes, classes
-    )
+    hits = hit_fn(gt, cfg.origins, cfg.directions, pred)
+    return _count_and_score(*hits, cfg, n_classes, classes)
 
 
 def ray_iou(

@@ -6,6 +6,7 @@ from occfield import (
     predict_volume, ray_iou,
 )
 from occfield import metrics
+from occfield.geometry import ray_box
 from occfield.metrics import RayIoUConfig, first_hits, first_hits_exact
 from occfield.scene import FREE, VoxelVolume
 
@@ -165,6 +166,145 @@ class TestFirstHitsAgainstExactOracle:
         monkeypatch.setattr(metrics, "_ORACLE_PAIRS", 7)
         for a, b in zip(whole, first_hits_exact(vol, o, d)):
             np.testing.assert_array_equal(a, b)
+
+
+def _walk_one_ray(vol, o, d):
+    """Reference traversal of one ray through one volume in scalar steps, with
+    the arithmetic of :func:`first_hits`: the same boundary times, the same
+    additions to them and the same lowest-axis tie-break."""
+    inside = (o >= vol.mins) & (o < vol.maxs)
+    t_in, t_out = ray_box(o[None], d[None], vol.mins, vol.maxs, inside[None])
+    t, t_out = max(t_in[0], 0.0), t_out[0]
+    if not t <= t_out:
+        return False, FREE, np.inf
+    dims = vol.dims
+    cur = [min(max(int(np.floor((o[a] + t * d[a] - vol.mins[a]) / vol.cell_size)), 0), dims[a] - 1)
+           for a in range(3)]
+    step = [int(np.sign(d[a])) for a in range(3)]
+    tmax, tdelta = [], []
+    for a in range(3):
+        if d[a] == 0:
+            tmax.append(np.inf)
+            tdelta.append(np.inf)
+        else:
+            boundary = vol.mins[a] + (cur[a] + (step[a] > 0)) * vol.cell_size
+            tmax.append((boundary - o[a]) / d[a])
+            tdelta.append(vol.cell_size / abs(d[a]))
+    while True:
+        label = vol.labels[tuple(cur)]
+        if label != FREE:
+            return True, label, t
+        axis = min(range(3), key=lambda a: tmax[a])  # the first of equal times
+        if tmax[axis] > t_out:
+            return False, FREE, np.inf
+        cur[axis] += step[axis]
+        t = tmax[axis]
+        tmax[axis] += tdelta[axis]
+        if not 0 <= cur[axis] < dims[axis]:
+            return False, FREE, np.inf
+
+
+def _ray_mix(rng, vol, n=150):
+    """Rays from outside toward the grid, rays starting inside it, and
+    axis-parallel rays, most of them running along face planes."""
+    center = (vol.mins + vol.maxs) / 2
+    o_out = center + 6.0 * _unit(rng.normal(size=(n, 3)))
+    targets = vol.mins + rng.random((n, 3)) * (vol.maxs - vol.mins)
+    o_in = vol.mins + rng.random((n, 3)) * (vol.maxs - vol.mins)
+    axis = rng.integers(0, 3, n)
+    d_par = np.zeros((n, 3))
+    d_par[np.arange(n), axis] = rng.choice([-1.0, 1.0], n)
+    planes = vol.mins + rng.integers(0, np.array(vol.dims) + 1, (n, 3)) * vol.cell_size
+    o_par = np.where(rng.random((n, 3)) < 0.6, planes, o_in[rng.permutation(n)])
+    o_par[np.arange(n), axis] -= 4.0 * d_par[np.arange(n), axis]
+    origins = np.concatenate([o_out, o_in, o_par])
+    dirs = np.concatenate([_unit(targets - o_out), _unit(rng.normal(size=(n, 3))), d_par])
+    return origins, dirs
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+class TestJointTraversal:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_walk_equals_separate_walks(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        a, b = _random_volume(rng, p=0.1), _random_volume(rng, p=0.3)
+        empty = VoxelVolume(np.full(DIMS, FREE, dtype=np.int32), MINS, CELL)
+        same_as_a = VoxelVolume(a.labels.copy(), MINS, CELL)
+        o, d = _ray_mix(rng, a)
+        for vols in ((a, b, empty), (a, same_as_a), (empty, b), (b, a, same_as_a, empty)):
+            joint = first_hits(vols[0], o, d, *vols[1:])
+            _assert_bitwise(joint, [x for v in vols for x in first_hits(v, o, d)])
+        hits = first_hits(a, o, d, b, empty)
+        assert hits[0].any() and not hits[0].all() and hits[3].sum() > hits[0].sum()
+        assert not hits[6].any() and np.all(np.isinf(hits[8]))
+
+    def test_walk_matches_scalar_reference_bitwise(self):
+        rng = np.random.default_rng(7)
+        vol = _random_volume(rng, p=0.15)
+        o, d = _ray_mix(rng, vol, n=100)
+        hit, cls, depth = first_hits(vol, o, d)
+        ref = [_walk_one_ray(vol, oi, di) for oi, di in zip(o, d)]
+        np.testing.assert_array_equal(hit, [r[0] for r in ref])
+        np.testing.assert_array_equal(cls, [r[1] for r in ref])
+        assert depth.tobytes() == np.array([r[2] for r in ref], dtype=np.float64).tobytes()
+        assert 0 < hit.sum() < len(hit)
+
+    def test_exact_oracle_takes_several_volumes(self):
+        rng = np.random.default_rng(8)
+        a, b = _random_volume(rng), _random_volume(rng, p=0.4)
+        o, d = _ray_mix(rng, a, n=40)
+        _assert_bitwise(first_hits_exact(a, o, d, b), [*first_hits_exact(a, o, d), *first_hits_exact(b, o, d)])
+
+    @pytest.mark.parametrize("fn", [first_hits, first_hits_exact])
+    def test_volumes_on_other_grids_are_rejected(self, fn):
+        vol = _random_volume(np.random.default_rng(9))
+        o, d = np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]])
+        others = (
+            VoxelVolume(vol.labels, MINS + 0.25, CELL),
+            VoxelVolume(vol.labels, MINS, CELL / 2),
+            VoxelVolume(vol.labels[:-1], MINS, CELL),
+        )
+        for other in others:
+            with pytest.raises(ValueError, match="different grids"):
+                fn(vol, o, d, other)
+            with pytest.raises(ValueError, match="different grids"):
+                fn(vol, o, d, vol, other)
+
+    def test_ray_iou_walks_the_rays_once(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        gt, pred = _random_volume(rng), _random_volume(rng)
+        o, d = _ray_mix(rng, gt, n=30)
+        cfg = RayIoUConfig(o, d)
+        calls = []
+
+        def counting(vol, origins, dirs, *others):
+            calls.append((vol, *others))
+            return first_hits(vol, origins, dirs, *others)
+
+        monkeypatch.setattr(metrics, "first_hits", counting)
+        rep = ray_iou(pred, gt, cfg)
+        assert len(calls) == 1 and calls[0][0] is gt and calls[0][1] is pred
+        monkeypatch.undo()
+        np.testing.assert_array_equal(rep.ray_counts, brute_force_ray_iou(pred, gt, cfg).ray_counts)
+
+
+class TestRayIoUConfig:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["origins", "directions"])
+    def test_non_finite_rays_are_rejected(self, field, bad):
+        rays = {"origins": np.zeros((3, 3)), "directions": np.tile([0.0, 0.0, 1.0], (3, 1))}
+        rays[field][1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RayIoUConfig(**rays)
+
+    def test_no_rays_is_allowed(self):
+        cfg = RayIoUConfig(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert cfg.origins.shape == (0, 3)
 
 
 class TestScores:
