@@ -268,6 +268,16 @@ def read_run_config(path) -> RunConfig:
     train = TrainSettings(**values_of("train", _TRAIN_KEYS))
     if train.mode not in ("query", "rendering"):
         raise ConfigError(f"{path}: train mode must be 'query' or 'rendering'")
+    if train.total_steps < 1 or train.batch_size < 1:
+        raise ConfigError(f"{path}: [train] total_steps and batch_size must be at least 1")
+    if not all(lam >= 0 for lam in (train.lambda_occ, train.lambda_sem, train.lambda_vfm)):
+        raise ConfigError(f"{path}: [train] lambda_occ, lambda_sem and lambda_vfm must be non-negative")
+    if not 0 < train.render_near < train.render_far < math.inf:  # NaN fails this too
+        raise ConfigError(f"{path}: [train] needs 0 < render_near < render_far, both finite")
+    if train.render_coarse < 1 or train.render_importance < 0:
+        raise ConfigError(
+            f"{path}: [train] render_coarse must be at least 1 and render_importance at least 0"
+        )
 
     g = values_of("grid", _GRID_KEYS)
     grid = GridConfig(

@@ -7,6 +7,14 @@ backprop, including the bilinear scatter back into the grid) and verified
 against finite differences in the test suite.  Training uses Adam moments
 with decoupled weight decay, linear warmup, and cosine decay.  Inference
 (``forward_batch``) keeps no backprop cache and no derivatives.
+
+Both training loops keep their activations, squareplus derivatives and
+optimizer temporaries in buffers that last the whole run (``_Workspace``,
+``_AdamW``), so a step after the first allocates no activation-sized array.
+The rendering baseline evaluates each sample once: the coarse pass keeps its
+cache, only the importance depths are added, and the cached rows are
+gathered into sorted depth order, which gives the bytes of one pass over all
+sorted samples because no row depends on the others in its batch.
 """
 
 from __future__ import annotations
@@ -58,12 +66,27 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 RENDER_EPS = 1e-3  # opacity-mass guard for fully transparent rays
 _ADAM_CHUNK = 1 << 16  # elements per AdamW slice: no optimizer temporary copies the grid
+_BLOCK_ROWS = 256  # rows per squareplus block: 256 x 160 float64 (330 kB) stay in L2 cache
 
 
-def _squareplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth rectifier x -> (x + sqrt(x^2 + 4))/2 and its derivative."""
-    s = np.sqrt(x * x + 4.0)
-    return 0.5 * (x + s), 0.5 * (1.0 + x / s)
+def _squareplus(a: np.ndarray, b: np.ndarray, out: np.ndarray, deriv: bool) -> np.ndarray:
+    """Smooth rectifier 0.5 * (x + sqrt(x*x + 4)) of x = a + b into ``out``;
+    with ``deriv``, ``a`` then holds its derivative 0.5 * (1 + x / sqrt(x*x + 4)).
+
+    Works through blocks of ``_BLOCK_ROWS`` rows so that each block's
+    temporaries stay in cache.  Both forward passes use this one operation
+    order, so their rows agree bit for bit.
+    """
+    s = np.empty((min(len(a), _BLOCK_ROWS), a.shape[1]))
+    for i in range(0, len(a), _BLOCK_ROWS):
+        x, h = a[i : i + _BLOCK_ROWS], out[i : i + _BLOCK_ROWS]
+        x += b
+        t = s[: len(x)]
+        np.sqrt(np.add(np.multiply(x, x, out=t), 4.0, out=t), out=t)
+        np.multiply(np.add(t, x, out=h), 0.5, out=h)
+        if deriv:
+            np.multiply(np.add(np.divide(x, t, out=x), 1.0, out=x), 0.5, out=x)
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -173,35 +196,90 @@ def log_frequency_weights(frequencies: np.ndarray) -> np.ndarray:
     return np.ones_like(w) if mean <= 0 else w / mean
 
 
-def _encode(model: FieldModel, queries: np.ndarray):
-    """Decoder input [grid feature | fourier(z) | fourier(t)] and bilinear footprint."""
+def _encode(model: FieldModel, queries: np.ndarray, out=None):
+    """Decoder input [grid feature | fourier(z) | fourier(t)] (into ``out``
+    when given) and bilinear footprint."""
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
     iy, ix, bw = bilinear_setup(q[:, 0], q[:, 1], model.grid)
     g = np.einsum("nk,nkc->nc", bw, model.grid.data[iy, ix])
     enc = np.concatenate(
         [g, fourier_encode_batch(q[:, 2], model.fourier), fourier_encode_batch(q[:, 3], model.fourier)],
-        axis=1,
+        axis=1, out=out,
     )
     return enc, iy, ix, bw
 
 
-def _forward_raw(model: FieldModel, queries: np.ndarray):
-    """Training forward pass; returns head outputs plus the backprop cache."""
-    h, iy, ix, bw = _encode(model, queries)
-    acts = [h]
-    derivs = []
-    for w, b in model.layers[:-1]:
-        a = h @ w + b
-        h, da = _squareplus(a)
-        acts.append(h)
-        derivs.append(da)
+class _Workspace:
+    """Row buffers for ``_forward_raw``'s cache, kept for a whole training run.
+
+    Each cached array (head outputs, bilinear footprint, every activation and
+    squareplus derivative) is a slot of ``rows`` rows; a forward pass fills
+    rows [start, start + n) of every slot, so a step allocates no
+    activation-sized array once the first step has filled the workspace.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.slots: dict = {}
+        self.spares: dict = {}  # one per (columns, dtype): gather's target
+
+    def slot(self, key, width: int, start: int, n: int, dtype=np.float64) -> np.ndarray:
+        if key not in self.slots:
+            self.slots[key] = np.empty((self.rows, width), dtype)
+        return self.slots[key][start : start + n]
+
+    def gather(self, order: np.ndarray) -> None:
+        """Make row i of every slot the former row ``order[i]``.  Each slot is
+        gathered into the spare of its kind and swapped with it, so the cache
+        is never held twice."""
+        n = len(order)
+        for key, buf in self.slots.items():
+            kind = (buf.shape[1], buf.dtype)
+            spare = self.spares.pop(kind, None)
+            spare = np.empty_like(buf) if spare is None else spare
+            # mode="clip" writes straight into out; "raise" buffers a copy first
+            np.take(buf[:n], order, axis=0, out=spare[:n], mode="clip")
+            self.slots[key], self.spares[kind] = spare, buf
+
+
+def _cached_rows(model: FieldModel, work: _Workspace, start: int, n: int):
+    """Head outputs and backprop cache held in rows [start, start + n) of ``work``."""
+    rows = {key: buf[start : start + n] for key, buf in work.slots.items()}
+    out, c, depth = rows["out"], model.n_classes, len(model.layers)
+    cache = (
+        rows["iy"], rows["ix"], rows["bw"],
+        [rows[("act", i)] for i in range(depth)],
+        [rows[("deriv", i)] for i in range(depth - 1)],
+    )
+    return out[:, 0], out[:, 1 : 1 + c], out[:, 1 + c :], cache
+
+
+def _forward_raw(model: FieldModel, queries: np.ndarray, work=None, start: int = 0):
+    """Training forward pass; returns head outputs plus the backprop cache.
+
+    Outputs and cache are rows [start, start + n) of ``work``, a
+    ``_Workspace`` (a fresh one of start + n rows when None), so a training
+    loop reuses one set of buffers and can evaluate a batch in parts.
+    Squareplus runs in place and its derivative overwrites the
+    pre-activation.  A row's values do not depend on the other rows of its
+    batch, except that numpy multiplies a one-row batch through a
+    matrix-vector product, which may round differently.
+    """
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
+    n = len(q)
+    work = _Workspace(start + n) if work is None else work
+    slot = work.slot
+    h, iy, ix, bw = _encode(model, q, slot(("act", 0), model.layer_sizes[0], start, n))
+    for key, arr in (("iy", iy), ("ix", ix), ("bw", bw)):
+        slot(key, arr.shape[1], start, n, arr.dtype)[...] = arr
+    for i, (w, b) in enumerate(model.layers[:-1]):
+        width = w.shape[1]
+        a = np.matmul(h, w, out=slot(("deriv", i), width, start, n))
+        h = _squareplus(a, b, slot(("act", i + 1), width, start, n), deriv=True)
     w, b = model.layers[-1]
-    out = h @ w + b
-    occ_logit = out[:, 0]
-    sem_logits = out[:, 1 : 1 + model.n_classes]
-    feat = out[:, 1 + model.n_classes :]
-    cache = (iy, ix, bw, acts, derivs)
-    return occ_logit, sem_logits, feat, cache
+    out = np.matmul(h, w, out=slot("out", w.shape[1], start, n))
+    out += b
+    return _cached_rows(model, work, start, n)
 
 
 @dataclasses.dataclass
@@ -216,7 +294,11 @@ def _backward_from_output_grads(
     model: FieldModel, cache, d_occ_logit, d_sem_logits, d_feat, grid_grad=None
 ) -> Gradients:
     """Backpropagate given gradients w.r.t. the raw head outputs; the grid
-    gradient goes into ``grid_grad``, zeroed first, when one is given."""
+    gradient goes into ``grid_grad``, zeroed first, when one is given.
+
+    Consumes ``cache``: each layer's input gradient overwrites that layer's
+    activations once they have served its weight gradient, so the backward
+    allocates no activation-sized array."""
     iy, ix, bw, acts, derivs = cache
     d_out = np.concatenate(
         [np.asarray(d_occ_logit)[:, None], d_sem_logits, d_feat], axis=1
@@ -226,9 +308,9 @@ def _backward_from_output_grads(
     for li in range(len(model.layers) - 1, -1, -1):
         w, _ = model.layers[li]
         grads.append((acts[li].T @ d, d.sum(axis=0)))
-        d = d @ w.T
+        d = np.matmul(d, w.T, out=acts[li])
         if li > 0:
-            d = d * derivs[li - 1]
+            d *= derivs[li - 1]
     grads.reverse()
     d_g = d[:, : model.grid.channels]
     if grid_grad is None:
@@ -258,14 +340,12 @@ def forward_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized inference: (occ_prob (N,), semantic_probs (N,S), feature (N,F)).
     Keeps no backprop cache: two buffers serve every hidden layer, and squareplus
-    runs in place in ``_squareplus``'s order, so outputs equal training's bit for bit."""
+    runs in place through ``_squareplus``, so outputs equal training's bit for bit."""
     h, a = _encode(model, queries)[0], None
     for w, b in model.layers[:-1]:
         a = np.matmul(h, w, out=a if a is not None and a.shape[1] == w.shape[1] else None)
-        a += b
-        s = h if h.shape == a.shape else np.empty_like(a)  # h is spent once a holds h @ w
-        np.sqrt(np.add(np.multiply(a, a, out=s), 4.0, out=s), out=s)  # sqrt(a*a + 4)
-        h = np.multiply(np.add(s, a, out=s), 0.5, out=s)  # 0.5 * (a + sqrt(a*a + 4))
+        # h is spent once a holds h @ w
+        h = _squareplus(a, b, h if h.shape == a.shape else np.empty_like(a), deriv=False)
     w, b = model.layers[-1]
     out = h @ w + b
     n = model.n_classes
@@ -317,7 +397,7 @@ def _class_weights(model: FieldModel, cfg: TrainConfig) -> np.ndarray:
     return w
 
 
-def _loss_terms(model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=None):
+def _loss_terms(model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=None, work=None):
     if len(batch) == 0:
         raise EmptyBatchError("loss over an empty batch")
     idx = np.arange(len(batch)) if indices is None else indices
@@ -325,7 +405,7 @@ def _loss_terms(model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=
     occ_t = batch.occupancy[idx].astype(np.float64)
     cls_t = batch.classes[idx]
     feat_t = batch.features[idx]
-    occ_logit, sem_logits, feat, cache = _forward_raw(model, q)
+    occ_logit, sem_logits, feat, cache = _forward_raw(model, q, work)
     n = len(idx)
 
     # occupancy: binary cross-entropy with logits, averaged over every sample
@@ -376,21 +456,24 @@ def loss(model: FieldModel, batch: QueryBatch, cfg: TrainConfig) -> LossReport:
 
 
 def backward(
-    model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=None, grid_grad=None
+    model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=None, grid_grad=None,
+    work=None,
 ) -> tuple[Gradients, LossReport]:
     """Analytic gradients of the total loss for every parameter.
 
     Grid cells not touched by any query's bilinear footprint keep exactly
-    zero gradient.  A given ``grid_grad`` array receives the grid gradient.
+    zero gradient.  A given ``grid_grad`` array receives the grid gradient,
+    and a given ``_Workspace`` holds the forward pass's cache.
     """
-    report, cache, d_occ, d_sem, d_feat = _loss_terms(model, batch, cfg, indices)
+    report, cache, d_occ, d_sem, d_feat = _loss_terms(model, batch, cfg, indices, work)
     return _backward_from_output_grads(model, cache, d_occ, d_sem, d_feat, grid_grad), report
 
 
 class _AdamW:
     """Adam moments with decoupled weight decay on weight-like parameters,
-    updated in slices: with the train loops' reused grid gradient, no step
-    frees a grid-sized array, so peak memory does not depend on heap layout."""
+    updated in slices through two scratch slices kept across steps: with the
+    train loops' reused grid gradient, no step allocates a grid-sized array,
+    so peak memory does not depend on heap layout."""
 
     def __init__(self, params: list[np.ndarray], decay_mask: list[bool], cfg: TrainConfig):
         self.params = params
@@ -399,6 +482,7 @@ class _AdamW:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
+        self._scratch = np.empty((2, 0))
 
     def lr_at(self, step: int) -> float:
         cfg = self.cfg
@@ -416,14 +500,20 @@ class _AdamW:
         for arrays, decay in zip(zip(self.params, grads, self.m, self.v), self.decay_mask):
             parts = max(1, min(len(arrays[0]), arrays[0].size // _ADAM_CHUNK))
             for p, g, m, v in zip(*(np.array_split(a, parts) for a in arrays)):
+                if self._scratch.shape[1] < p.size:
+                    self._scratch = np.empty((2, p.size))
+                t, u = (row[: p.size].reshape(p.shape) for row in self._scratch)
+                # the operation order of m += (1 - b1) * g; v += (1 - b2) * g * g;
+                # u = (m / b1c) / (sqrt(v / b2c) + eps) [+ wd * p]; p -= lr * u
                 m *= _ADAM_BETA1
-                m += (1.0 - _ADAM_BETA1) * g
+                m += np.multiply(g, 1.0 - _ADAM_BETA1, out=t)
                 v *= _ADAM_BETA2
-                v += (1.0 - _ADAM_BETA2) * g * g
-                update = (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
+                v += np.multiply(np.multiply(g, 1.0 - _ADAM_BETA2, out=t), g, out=t)
+                np.divide(m, b1c, out=u)
+                u /= np.add(np.sqrt(np.divide(v, b2c, out=t), out=t), _ADAM_EPS, out=t)
                 if decay:
-                    update = update + self.cfg.weight_decay * p
-                p -= lr * update
+                    u += np.multiply(p, self.cfg.weight_decay, out=t)
+                p -= np.multiply(u, lr, out=u)
 
 
 def _flatten_grads(g: Gradients) -> list[np.ndarray]:
@@ -449,13 +539,14 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     opt = _AdamW(model.parameters(), _decay_mask(model), cfg)
     grid_grad = np.empty_like(model.grid.data)  # one for all steps: see _AdamW
+    work = _Workspace(cfg.batch_size)
     history: list[LossReport] = []
     # overflow after a divergence is reported via TrainingDivergedError, not
     # as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.total_steps):
             idx = rng.integers(0, len(queries), cfg.batch_size)
-            grads, report = backward(model, queries, cfg, idx, grid_grad)
+            grads, report = backward(model, queries, cfg, idx, grid_grad, work)
             if not np.isfinite(report.total):
                 raise TrainingDivergedError(step)
             opt.step(_flatten_grads(grads), step)
@@ -559,12 +650,29 @@ def _composite_backward(
     return d_occ, d_sem
 
 
+def _ray_queries(org, dirs, times, depths) -> np.ndarray:
+    """4D queries at ``depths`` (rays, samples) along each ray, ray-major."""
+    pts = org[:, None, :] + depths[:, :, None] * dirs[:, None, :]
+    return np.concatenate(
+        [pts.reshape(-1, 3), np.repeat(times, depths.shape[1])[:, None]], axis=1
+    )
+
+
 def train_rendering_baseline(
     model: FieldModel, rays: RaySupervision, cfg: TrainConfig
 ) -> tuple[FieldModel, list[LossReport]]:
     """Image-space supervision baseline: L1 on rendered depth plus CE on
     rendered semantics, with exponentially spaced coarse samples and one
     round of importance resampling around the predicted depth.
+
+    Each sample is evaluated once.  The coarse pass keeps its backprop cache
+    in a ``_Workspace`` that lasts the whole run, the importance depths fill
+    the rows after it, and every cached row is then gathered into the order
+    of the sorted depths.  That is the order of one pass over all sorted
+    samples, and rows do not depend on their batch, so compositing and
+    backprop see the bytes of such a pass (except at ``batch_size`` 1 with
+    one coarse or one importance sample, where a part is a single row; see
+    ``_forward_raw``).
 
     Reported losses reuse LossReport slots: ``occ`` holds the depth L1 term
     and ``sem`` the semantic term.
@@ -575,6 +683,12 @@ def train_rendering_baseline(
     opt = _AdamW(model.parameters(), _decay_mask(model), cfg)
     grid_grad = np.empty_like(model.grid.data)  # one for all steps: see _AdamW
     coarse = np.geomspace(cfg.render_near, cfg.render_far, cfg.render_coarse)
+    b, nc, ni = cfg.batch_size, cfg.render_coarse, cfg.render_importance
+    ns = nc + ni
+    work = _Workspace(b * ns)
+    # each ray's samples in the workspace: coarse rows first, importance rows after
+    rows = np.arange(b * ns)
+    source = np.hstack([rows[: b * nc].reshape(b, nc), rows[b * nc :].reshape(b, ni)])
     history: list[LossReport] = []
     w_c = _class_weights(model, cfg)
     for step in range(cfg.total_steps):
@@ -585,28 +699,24 @@ def train_rendering_baseline(
         tgt_d = rays.target_depths[idx]
         tgt_c = rays.target_classes[idx]
         times = rays.times[idx]
-        b = len(idx)
 
-        # coarse pass (no gradients) to place importance samples
-        pts = org[:, None, :] + coarse[None, :, None] * dirs[:, None, :]
-        q = np.concatenate(
-            [pts.reshape(-1, 3), np.repeat(times, len(coarse))[:, None]], axis=1
-        )
-        occ_c, _, _ = forward_batch(model, q)
-        occ_c = occ_c.reshape(b, -1)
+        # coarse pass, cached, to place importance samples
+        q = _ray_queries(org, dirs, times, np.broadcast_to(coarse, (b, nc)))
+        occ_c = _sigmoid(_forward_raw(model, q, work)[0]).reshape(b, -1)
         trans_c = np.cumprod(1.0 - occ_c, axis=1)
         w_coarse = np.concatenate([np.ones((b, 1)), trans_c[:, :-1]], axis=1) * occ_c
         mass_c = np.maximum(w_coarse.sum(axis=1), RENDER_EPS)
         d_pred = (w_coarse * coarse[None, :]).sum(axis=1) / mass_c
 
-        fine = d_pred[:, None] + rng.uniform(-1.0, 1.0, (b, cfg.render_importance))
+        fine = d_pred[:, None] + rng.uniform(-1.0, 1.0, (b, ni))
         fine = np.clip(fine, cfg.render_near, cfg.render_far)
-        depths = np.sort(np.concatenate([np.broadcast_to(coarse, (b, len(coarse))), fine], axis=1), axis=1)
-
-        ns = depths.shape[1]
-        pts = org[:, None, :] + depths[:, :, None] * dirs[:, None, :]
-        q = np.concatenate([pts.reshape(-1, 3), np.repeat(times, ns)[:, None]], axis=1)
-        occ_logit, sem_logits, feat, cache = _forward_raw(model, q)
+        _forward_raw(model, _ray_queries(org, dirs, times, fine), work, b * nc)
+        # a stable argsort gives np.sort's depths; tied depths have equal rows
+        samples = np.concatenate([np.broadcast_to(coarse, (b, nc)), fine], axis=1)
+        order = np.argsort(samples, axis=1, kind="stable")
+        depths = np.take_along_axis(samples, order, axis=1)
+        work.gather(np.take_along_axis(source, order, axis=1).reshape(-1))
+        occ_logit, sem_logits, feat, cache = _cached_rows(model, work, 0, b * ns)
         occ = _sigmoid(occ_logit).reshape(b, ns)
         sem = _softmax(sem_logits).reshape(b, ns, model.n_classes)
 

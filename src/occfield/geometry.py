@@ -298,7 +298,7 @@ def fourier_encode_batch(values: np.ndarray, cfg: FourierConfig) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim == 1:
         v = v[:, None]
-    phases = (v[:, :, None] * cfg.frequencies[None, None, :]).reshape(v.shape[0], -1)
+    phases = (v[:, :, None] * cfg.frequencies[None, None, :]).reshape(len(v), v.shape[1] * cfg.n_bands)
     return np.concatenate([np.sin(phases), np.cos(phases)], axis=1)
 
 

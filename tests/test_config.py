@@ -218,3 +218,51 @@ def test_bad_value_stops_every_command_before_it_runs(tmp_path):
     for command in ("synth", "scan", "queries", "train", "eval", "inspect-geometry"):
         assert main([command, "--config", str(run)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+def _set_train(text, key, value):
+    """Set ``key = value`` in [train], adding the line when the key is absent."""
+    if any(line.split("=")[0].strip() == key for line in text.splitlines()):
+        return _set(text, key, value)
+    return text.replace("[train]\n", f"[train]\n{key} = {value}\n")
+
+
+# (key, value): [train] values that would otherwise fail only once train runs
+TRAIN_OUT_OF_RANGE = [
+    ("total_steps", "0"),
+    ("total_steps", "-3"),
+    ("batch_size", "0"),
+    ("lambda_occ", "-1"),
+    ("lambda_sem", "-0.5"),
+    ("lambda_vfm", "nan"),
+    ("render_near", "0"),
+    ("render_near", "-1"),
+    ("render_near", "nan"),
+    ("render_near", "60"),  # equal to the default render_far
+    ("render_far", "0.25"),  # below the default render_near
+    ("render_far", "inf"),
+    ("render_coarse", "0"),
+    ("render_importance", "-1"),
+]
+
+
+@pytest.mark.parametrize("key, value", TRAIN_OUT_OF_RANGE)
+def test_out_of_range_train_value_exits_2_before_any_stage(tmp_path, capsys, key, value):
+    run = _write(tmp_path, _set_train(RUN, key, value))
+    for command in ("synth", "scan", "queries", "train"):
+        assert main([command, "--config", str(run)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("total_steps", "1"),
+    ("batch_size", "1"),
+    ("lambda_occ", "0"),
+    ("render_near", "0.001"),
+    ("render_coarse", "1"),
+    ("render_importance", "0"),
+])
+def test_boundary_train_values_are_accepted(tmp_path, key, value):
+    cfg = read_run_config(_write(tmp_path, _set_train(RUN, key, value)))
+    assert getattr(cfg.train, key) == float(value)

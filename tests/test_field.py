@@ -25,7 +25,14 @@ from occfield import (
 )
 from occfield.errors import EmptyBatchError, TrainingDivergedError
 from occfield import field as field_module
-from occfield.field import _forward_raw
+from occfield.field import (
+    RaySupervision,
+    _backward_from_output_grads,
+    _cached_rows,
+    _forward_raw,
+    _Workspace,
+    train_rendering_baseline,
+)
 
 
 def _small_model(seed=0, n_classes=3, feature_dim=2):
@@ -53,6 +60,142 @@ def _random_batch(rng, n=40, n_classes=3, feature_dim=2):
     cls = np.where(occ == 1, rng.integers(0, n_classes, n), UNLABELED).astype(np.uint16)
     feats = np.where(occ[:, None] == 1, rng.standard_normal((n, feature_dim)), 0.0)
     return QueryBatch(q, occ, cls, feats)
+
+
+def _reference_forward(model, queries):
+    """The allocating training forward: every layer's activation and
+    squareplus derivative in fresh arrays."""
+    h, iy, ix, bw = field_module._encode(model, queries)
+    acts, derivs = [h], []
+    for w, b in model.layers[:-1]:
+        a = h @ w + b
+        s = np.sqrt(a * a + 4.0)
+        h, da = 0.5 * (a + s), 0.5 * (1.0 + a / s)
+        acts.append(h)
+        derivs.append(da)
+    w, b = model.layers[-1]
+    out = h @ w + b
+    c = model.n_classes
+    return out[:, 0], out[:, 1 : 1 + c], out[:, 1 + c :], (iy, ix, bw, acts, derivs)
+
+
+def _reference_backward(model, cache, d_occ_logit, d_sem_logits, d_feat):
+    """The allocating backward: a fresh input gradient for every layer."""
+    iy, ix, bw, acts, derivs = cache
+    d = np.concatenate([d_occ_logit[:, None], d_sem_logits, d_feat], axis=1)
+    grads = []
+    for li in range(len(model.layers) - 1, -1, -1):
+        w, _ = model.layers[li]
+        grads.append((acts[li].T @ d, d.sum(axis=0)))
+        d = d @ w.T
+        if li > 0:
+            d = d * derivs[li - 1]
+    grads.reverse()
+    grid_grad = np.zeros_like(model.grid.data)
+    for k in range(4):
+        np.add.at(grid_grad, (iy[:, k], ix[:, k]), bw[:, k, None] * d[:, : model.grid.channels])
+    return grid_grad, grads
+
+
+def _reference_adamw_step(opt, grads, step_index):
+    """The allocating AdamW update of whole arrays."""
+    beta1, beta2 = field_module._ADAM_BETA1, field_module._ADAM_BETA2
+    opt.t += 1
+    lr = opt.lr_at(step_index)
+    b1c, b2c = 1.0 - beta1**opt.t, 1.0 - beta2**opt.t
+    for p, g, m, v, decay in zip(opt.params, grads, opt.m, opt.v, opt.decay_mask):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / b1c) / (np.sqrt(v / b2c) + field_module._ADAM_EPS)
+        if decay:
+            update = update + opt.cfg.weight_decay * p
+        p -= lr * update
+
+
+def _reference_rendering(model, rays, cfg):
+    """The rendering baseline that evaluates every coarse sample twice: a
+    cache-free coarse pass, then one training forward over all sorted samples.
+    Returns the model, the loss history and how many importance depths were
+    clipped onto render_near, where they tie with the first coarse depth."""
+    f = field_module
+    rng = np.random.default_rng(cfg.seed)
+    opt = f._AdamW(model.parameters(), f._decay_mask(model), cfg)
+    grid_grad = np.empty_like(model.grid.data)
+    coarse = np.geomspace(cfg.render_near, cfg.render_far, cfg.render_coarse)
+    history, ties = [], 0
+    w_c = f._class_weights(model, cfg)
+    for step in range(cfg.total_steps):
+        idx = rng.integers(0, len(rays), cfg.batch_size)
+        org, dirs = rays.origins[idx], rays.directions[idx]
+        tgt_d, tgt_c, times = rays.target_depths[idx], rays.target_classes[idx], rays.times[idx]
+        b = len(idx)
+        pts = org[:, None, :] + coarse[None, :, None] * dirs[:, None, :]
+        q = np.concatenate([pts.reshape(-1, 3), np.repeat(times, len(coarse))[:, None]], axis=1)
+        occ_c = f.forward_batch(model, q)[0].reshape(b, -1)
+        trans_c = np.cumprod(1.0 - occ_c, axis=1)
+        w_coarse = np.concatenate([np.ones((b, 1)), trans_c[:, :-1]], axis=1) * occ_c
+        mass_c = np.maximum(w_coarse.sum(axis=1), f.RENDER_EPS)
+        d_pred = (w_coarse * coarse[None, :]).sum(axis=1) / mass_c
+        fine = d_pred[:, None] + rng.uniform(-1.0, 1.0, (b, cfg.render_importance))
+        fine = np.clip(fine, cfg.render_near, cfg.render_far)
+        ties += int(np.sum(fine == coarse[0]))
+        depths = np.sort(np.concatenate([np.broadcast_to(coarse, (b, len(coarse))), fine], axis=1), axis=1)
+        ns = depths.shape[1]
+        pts = org[:, None, :] + depths[:, :, None] * dirs[:, None, :]
+        q = np.concatenate([pts.reshape(-1, 3), np.repeat(times, ns)[:, None]], axis=1)
+        occ_logit, sem_logits, feat, cache = _forward_raw(model, q)
+        occ = f._sigmoid(occ_logit).reshape(b, ns)
+        sem = f._softmax(sem_logits).reshape(b, ns, model.n_classes)
+        trans = np.concatenate([np.ones((b, 1)), np.cumprod(1.0 - occ, axis=1)], axis=1)
+        w = trans[:, :-1] * occ
+        mass = w.sum(axis=1)
+        guarded = mass < f.RENDER_EPS
+        mass_eff = np.maximum(mass, f.RENDER_EPS)
+        depth_r = (w * depths).sum(axis=1) / mass_eff
+        sem_r = (w[:, :, None] * sem).sum(axis=1) / mass_eff[:, None]
+        labeled = tgt_c != UNLABELED
+        depth_err = depth_r - tgt_d
+        l_depth = float(np.mean(np.abs(depth_err)))
+        l_sem = 0.0
+        d_sem_r = np.zeros_like(sem_r)
+        n_lab = int(labeled.sum())
+        if n_lab:
+            p_true = sem_r[labeled, tgt_c[labeled].astype(int)]
+            wi = w_c[tgt_c[labeled].astype(int)]
+            l_sem = float(np.mean(wi * -np.log(p_true + 1e-12)))
+            d_sem_r[labeled, tgt_c[labeled].astype(int)] = wi * (-1.0 / (p_true + 1e-12)) / n_lab
+        d_occ_rows, d_sem_rows = f._composite_backward(
+            depths, occ, sem, np.sign(depth_err) / b, d_sem_r, w, trans, mass_eff, guarded,
+            depth_r, sem_r,
+        )
+        d_occ_logit = (d_occ_rows * occ * (1.0 - occ)).reshape(-1)
+        sm = sem.reshape(-1, model.n_classes)
+        ds = d_sem_rows.reshape(-1, model.n_classes)
+        d_sem_logits = sm * (ds - (ds * sm).sum(axis=1, keepdims=True))
+        grads = _backward_from_output_grads(
+            model, cache, d_occ_logit, d_sem_logits, np.zeros_like(feat), grid_grad
+        )
+        opt.step(f._flatten_grads(grads), step)
+        history.append(f.LossReport(l_depth + l_sem, l_depth, l_sem, 0.0, b, n_lab, 0))
+    return model, history, ties
+
+
+def _random_rays(rng, n=300, n_classes=3):
+    dirs = rng.standard_normal((n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    classes = rng.integers(0, n_classes + 1, n)
+    return RaySupervision(
+        rng.uniform(-3, 3, (n, 3)), dirs, rng.uniform(0.5, 12.0, n),
+        np.where(classes == n_classes, UNLABELED, classes).astype(np.uint16),
+        rng.uniform(-1, 1, n),
+    )
+
+
+def _cache_arrays(occ_logit, sem_logits, feat, cache):
+    iy, ix, bw, acts, derivs = cache
+    return [occ_logit, sem_logits, feat, iy, ix, bw, *acts, *derivs]
 
 
 class TestForward:
@@ -118,6 +261,78 @@ class TestInference:
     def test_zero_classes_rejected(self):
         with pytest.raises(ValueError, match="n_classes"):
             _small_model(n_classes=0)
+
+
+class TestTrainingForward:
+    @pytest.mark.parametrize("widths", [(12, 12), (12, 7)])
+    @pytest.mark.parametrize("feature_dim", [0, 2])
+    def test_forward_and_backward_equal_allocating_reference(self, feature_dim, widths):
+        rng = np.random.default_rng(16)
+        base = _randomize(_small_model(feature_dim=feature_dim), rng)
+        sizes = [base.layer_sizes[0], *widths, base.layer_sizes[-1]]
+        layers = [
+            (rng.standard_normal((i, o)) * 0.5, rng.standard_normal(o) * 0.1)
+            for i, o in zip(sizes, sizes[1:])
+        ]
+        model = FieldModel(base.grid, layers, base.fourier, 3, feature_dim)
+        q = _random_batch(rng, 700).queries  # more than one squareplus block
+        ref = _reference_forward(model, q)
+        got = _forward_raw(model, q)
+        for r, g in zip(_cache_arrays(*ref), _cache_arrays(*got)):
+            np.testing.assert_array_equal(g, r)
+        d_occ, d_sem, d_feat = (rng.standard_normal(a.shape) for a in got[:3])
+        ref_grid, ref_layers = _reference_backward(model, ref[3], d_occ, d_sem, d_feat)
+        grads = _backward_from_output_grads(model, got[3], d_occ, d_sem, d_feat)
+        np.testing.assert_array_equal(grads.grid, ref_grid)
+        for (dw, db), (rw, rb) in zip(grads.layers, ref_layers):
+            np.testing.assert_array_equal(dw, rw)
+            np.testing.assert_array_equal(db, rb)
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        # The rendering baseline reuses coarse rows computed in a batch of
+        # 12,288 next to 4,096 importance rows, in place of one pass over all
+        # 16,384 sorted samples; that is exact only while every cached row
+        # depends on its own query alone, whatever BLAS does with the batch.
+        # A one-row batch is the exception: numpy multiplies it through a
+        # matrix-vector product, which may round differently.
+        rng = np.random.default_rng(17)
+        model = _randomize(
+            init_field_model(ContractionParams(10.0, 0.8), n_classes=3, feature_dim=2,
+                             grid_size=8, hidden_width=160, hidden_layers=2),
+            rng, scale=0.05,
+        )
+        q = _random_batch(rng, 16384).queries
+        whole = [a.copy() for a in _cache_arrays(*_forward_raw(model, q))]
+
+        work = _Workspace(16384)
+        _forward_raw(model, q[:12288], work)
+        _forward_raw(model, q[12288:], work, 12288)
+        for w, g in zip(whole, _cache_arrays(*_cached_rows(model, work, 0, 16384))):
+            np.testing.assert_array_equal(g, w)
+        del work
+
+        perm = rng.permutation(16384)
+        for w, g in zip(whole, _cache_arrays(*_forward_raw(model, q[perm]))):
+            np.testing.assert_array_equal(g, w[perm])
+        for pair in ([0, 16383], [4095, 12288]):
+            for w, g in zip(whole, _cache_arrays(*_forward_raw(model, q[pair]))):
+                np.testing.assert_array_equal(g, w[pair])
+
+    def test_reused_workspace_gives_the_bytes_of_a_fresh_one(self):
+        rng = np.random.default_rng(18)
+        model = _randomize(_small_model(), rng)
+        batch = _random_batch(rng, 300)
+        cfg = TrainConfig(seed=0)
+        first, second = rng.integers(0, 300, 64), rng.integers(0, 300, 64)
+        work = _Workspace(64)
+        backward(model, batch, cfg, first, work=work)
+        reused, rep_reused = backward(model, batch, cfg, second, work=work)
+        fresh, rep_fresh = backward(model, batch, cfg, second)
+        assert rep_reused == rep_fresh
+        np.testing.assert_array_equal(reused.grid, fresh.grid)
+        for (w1, b1), (w2, b2) in zip(reused.layers, fresh.layers):
+            np.testing.assert_array_equal(w1, w2)
+            np.testing.assert_array_equal(b1, b2)
 
 
 class TestLoss:
@@ -255,6 +470,21 @@ class TestTrain:
             np.testing.assert_array_equal(p1, p2)
         assert [r.total for r in h1] == [r.total for r in h2]
 
+    def test_optimizer_matches_allocating_reference(self):
+        rng = np.random.default_rng(20)
+        cfg = TrainConfig(total_steps=6, warmup_steps=2, weight_decay=0.1, seed=0)
+        models = [_small_model(seed=3), _small_model(seed=3)]
+        opts = [
+            field_module._AdamW(m.parameters(), field_module._decay_mask(m), cfg)
+            for m in models
+        ]
+        for step in range(cfg.total_steps):
+            grads = [rng.standard_normal(p.shape) for p in models[0].parameters()]
+            opts[0].step(grads, step)
+            _reference_adamw_step(opts[1], grads, step)
+        for p1, p2 in zip(models[0].parameters(), models[1].parameters()):
+            np.testing.assert_array_equal(p1, p2)
+
     def test_loss_decreases_on_learnable_task(self):
         rng = np.random.default_rng(12)
         n = 400
@@ -328,6 +558,53 @@ class TestRenderRay:
             render_ray(model, np.zeros(3), np.array([2.0, 0, 0]), np.array([1.0]))
         with pytest.raises(ValueError):
             render_ray(model, np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 1.0]))
+
+
+class TestRenderingBaseline:
+    @pytest.mark.parametrize("importance, occ_bias", [(0, 0.0), (1, 0.0), (16, 0.0), (16, 6.0)])
+    def test_matches_the_step_that_evaluates_coarse_samples_twice(self, importance, occ_bias):
+        rng = np.random.default_rng(21)
+        rays = _random_rays(rng)
+        cfg = TrainConfig(total_steps=4, batch_size=24, warmup_steps=2, seed=5,
+                          render_near=0.5, render_far=20.0, render_coarse=12,
+                          render_importance=importance)
+        models = []
+        for _ in range(2):
+            model = _randomize(_small_model(seed=2, feature_dim=0), np.random.default_rng(22))
+            model.layers[-1][1][0] += occ_bias  # near-opaque first samples: d_pred ~ render_near
+            models.append(model)
+        ref, ref_hist, ties = _reference_rendering(models[0], rays, cfg)
+        got, got_hist = train_rendering_baseline(models[1], rays, cfg)
+        assert got_hist == ref_hist
+        for p1, p2 in zip(ref.parameters(), got.parameters()):
+            np.testing.assert_array_equal(p2, p1)
+        if occ_bias:
+            assert ties > 0  # importance depths clipped onto the first coarse depth
+
+    def test_step_after_the_first_allocates_less_than_two_activations(self, monkeypatch):
+        rays, width = _random_rays(np.random.default_rng(23)), 160
+        cfg = TrainConfig(total_steps=3, batch_size=64, warmup_steps=1, seed=0,
+                          render_far=20.0, render_coarse=48, render_importance=16)
+        model = init_field_model(ContractionParams(10.0, 0.8), n_classes=3, grid_size=8,
+                                 hidden_width=width, hidden_layers=4)
+        step, memory = field_module._AdamW.step, []
+
+        def traced_step(opt, grads, step_index):
+            step(opt, grads, step_index)
+            memory.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(field_module._AdamW, "step", traced_step)
+        tracemalloc.start()
+        try:
+            train_rendering_baseline(model, rays, cfg)
+        finally:
+            tracemalloc.stop()
+        activation = 64 * (48 + 16) * width * 8
+        (after_first, _), (_, peak_second), (_, peak_third) = memory
+        # about 0.66: the encoding's temporaries; a gather through a buffered
+        # np.take reaches 1.0, and the step that allocated its cache about 9
+        assert max(peak_second, peak_third) - after_first < activation
 
 
 class TestSerialization:
