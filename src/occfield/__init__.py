@@ -7,31 +7,19 @@ and evaluate with voxel IoU and first-hit RayIoU.
 """
 
 from .geometry import (
-    CameraModel,
     ContractionParams,
     DepthBinning,
     FourierConfig,
-    Query4,
-    RigidTransform,
     contract_axis,
-    contract_query,
-    depth_bin_centers,
     depth_bin_edges,
-    fourier_encode,
-    lift_pixel,
-    project_point,
     uncontract_axis,
 )
 from .pointcloud import (
     UNLABELED,
     ClassTable,
     PointCloud,
-    PointRecord,
-    min_depth_filter,
     read_class_table,
     read_pointcloud,
-    subsample,
-    transform_to_reference,
     write_class_table,
     write_pointcloud,
 )
@@ -42,7 +30,6 @@ from .scene import (
     ScanSpec,
     SceneSpec,
     VoxelVolume,
-    oracle_query,
     raycast_scan,
     read_voxel_volume,
     voxelize_ground_truth,
@@ -50,37 +37,26 @@ from .scene import (
 )
 from .supervision import (
     QueryBatch,
-    QuerySample,
     SamplingConfig,
     build_query_set,
-    gen_negative_queries,
-    gen_positive_queries,
     read_query_batch,
     validate_against_oracle,
     write_query_batch,
 )
 from .bev import (
     BevGrid,
-    LiftedPoint,
-    encode_point_features,
-    lift_depth_distribution,
-    read_bev_grid,
-    splat,
     splat_pointcloud,
-    write_bev_grid,
 )
 from .field import (
     FieldModel,
     LossReport,
     TrainConfig,
     backward,
-    forward,
     forward_batch,
     init_field_model,
     log_frequency_weights,
     loss,
     read_field_model,
-    render_ray,
     rays_from_pointcloud,
     train,
     train_rendering_baseline,

@@ -1,62 +1,24 @@
-"""Deterministic lift-contract-splat onto a bird's-eye-view grid.
+"""Deterministic contract-and-splat onto a bird's-eye-view grid.
 
-Pixels with categorical depth distributions (or raw point clouds) become
-weighted 3D points; their x/y coordinates are contracted and the weighted
-features scatter-added bilinearly into a grid that is uniform in contracted
-space.  The last grid channel always accumulates raw point weight (mass),
-so total grid mass equals total point weight.
+Points become weighted features; their x/y coordinates are contracted and
+the weighted features scatter-added bilinearly into a grid that is uniform
+in contracted space.  The last grid channel always accumulates raw point
+weight (mass), so total grid mass equals total point weight.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import struct
-from typing import Sequence
-
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FormatVersionError,
-    InvalidDistributionError,
-    TruncatedFileError,
-)
-from .geometry import (
-    CameraModel,
-    ContractionParams,
-    DepthBinning,
-    FourierConfig,
-    contract_axis,
-    depth_bin_centers,
-    fourier_encode_batch,
-    lift_pixel,
-)
+from .geometry import ContractionParams, FourierConfig, contract_axis, fourier_encode_batch
 from .pointcloud import UNLABELED, PointCloud
-from ._util import read_bytes, write_bytes
 
 __all__ = [
     "BevGrid",
-    "LiftedPoint",
-    "lift_depth_distribution",
-    "encode_point_features",
-    "splat",
     "splat_pointcloud",
     "bilinear_setup",
-    "write_bev_grid",
-    "read_bev_grid",
     "grid_to_ppm",
 ]
-
-
-@dataclasses.dataclass
-class LiftedPoint:
-    """A weighted feature point produced by lifting one (pixel, depth bin)."""
-
-    position: np.ndarray  # (3,) meters
-    weight: float  # depth-bin probability mass
-    visibility: float  # probability the ray reaches this bin
-    feature: np.ndarray
-    time: float = 0.0
 
 
 class BevGrid:
@@ -93,9 +55,6 @@ class BevGrid:
     def copy(self) -> "BevGrid":
         return BevGrid(self.width, self.height, self.channels, self.contraction, self.data.copy())
 
-    def mass(self) -> float:
-        return float(self.data[:, :, -1].sum())
-
 
 def bilinear_setup(
     x: np.ndarray, y: np.ndarray, grid: BevGrid
@@ -126,153 +85,34 @@ def bilinear_setup(
     return iy, ix, w
 
 
-def _scatter(
-    grid: BevGrid, positions: np.ndarray, weights: np.ndarray, features: np.ndarray
-) -> BevGrid:
-    if features.shape[1] != grid.channels - 1:
-        raise ValueError(
-            f"feature dim {features.shape[1]} != grid channels {grid.channels} - 1 (mass)"
-        )
-    out = grid.copy()
-    if len(positions) == 0:
-        return out
-    iy, ix, w = bilinear_setup(positions[:, 0], positions[:, 1], grid)
-    payload = np.concatenate([weights[:, None] * features, weights[:, None]], axis=1)
-    for k in range(4):
-        np.add.at(out.data, (iy[:, k], ix[:, k]), w[:, k, None] * payload)
-    return out
-
-
-def splat(points: Sequence[LiftedPoint], grid: BevGrid) -> BevGrid:
-    """Scatter-add weighted point features into a new grid.
-
-    Each point contributes weight*feature to its four surrounding cells
-    (bilinear in contracted space) plus raw weight to the mass channel.
-    """
-    if len(points) == 0:
-        return grid.copy()
-    positions = np.array([p.position for p in points], dtype=np.float64).reshape(-1, 3)
-    weights = np.array([p.weight for p in points], dtype=np.float64)
-    features = np.array([p.feature for p in points], dtype=np.float64).reshape(len(points), -1)
-    return _scatter(grid, positions, weights, features)
-
-
-def lift_depth_distribution(
-    cam: CameraModel,
-    bins: DepthBinning,
-    features: np.ndarray,
-    dist: np.ndarray,
-    time: float = 0.0,
-) -> list[LiftedPoint]:
-    """Lift per-pixel depth distributions into weighted 3D points.
-
-    ``features`` is (H, W, F) and ``dist`` (H, W, B) with B = bins.total_bins;
-    every pixel's probabilities must sum to 1 within 1e-6.  One point is
-    produced per (pixel, bin) with nonzero probability, at the bin's
-    representative depth along the pixel ray.  Visibility is the probability
-    that no strictly nearer bin absorbed the ray (1 at the first bin).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    dist = np.asarray(dist, dtype=np.float64)
-    if features.shape[:2] != dist.shape[:2]:
-        raise ValueError("features and dist must cover the same pixel set")
-    if dist.shape[2] != bins.total_bins:
-        raise ValueError(f"expected {bins.total_bins} bins, got {dist.shape[2]}")
-    sums = dist.sum(axis=2)
-    if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(dist < 0):
-        raise InvalidDistributionError("per-pixel depth probabilities must sum to 1")
-    h, w, _ = dist.shape
-    reps = depth_bin_centers(bins)
-    cum = np.cumsum(dist, axis=2)
-    visibility = 1.0 - (cum - dist)  # exclusive prefix sum of nearer bins
-    cols, rows = np.meshgrid(np.arange(w), np.arange(h), indexing="xy")
-    u = cols + 0.5
-    v = rows + 0.5
-    out: list[LiftedPoint] = []
-    for b in range(bins.total_bins):
-        mask = dist[:, :, b] > 0
-        if not mask.any():
-            continue
-        pts = lift_pixel(cam, u[mask], v[mask], np.full(int(mask.sum()), reps[b]))
-        wgt = dist[:, :, b][mask]
-        vis = visibility[:, :, b][mask]
-        feat = features[mask]
-        for i in range(len(pts)):
-            out.append(LiftedPoint(pts[i], float(wgt[i]), float(vis[i]), feat[i], time))
-    return out
-
-
-def encode_point_features(
-    points: Sequence[LiftedPoint], fourier: FourierConfig
-) -> list[LiftedPoint]:
-    """Deterministic point encoding: feature + [weight, visibility, fourier(t)].
-
-    Stands in for a learned per-point encoder; downstream learnable fusion
-    happens in the field decoder instead.
-    """
-    if len(points) == 0:
-        return []
-    times = np.array([p.time for p in points])
-    enc = fourier_encode_batch(times, fourier)
-    out = []
-    for i, p in enumerate(points):
-        feat = np.concatenate([p.feature, [p.weight, p.visibility], enc[i]])
-        out.append(LiftedPoint(p.position, p.weight, p.visibility, feat, p.time))
-    return out
-
-
 def splat_pointcloud(
     pc: PointCloud, grid: BevGrid, encoding: FourierConfig, n_classes: int
 ) -> BevGrid:
-    """Splat raw points with weight 1; features are fourier(z, t) + one-hot class.
+    """Splat raw points with weight 1 into a new grid.
 
-    Unlabeled points get an all-zero class block.  Grid channels must equal
-    4*n_bands + n_classes + 1 (mass).
+    Each point adds fourier(z, t) + one-hot class to the feature channels and
+    1 to the mass channel of its four surrounding cells, bilinearly in
+    contracted space.  Unlabeled points get an all-zero class block.  Grid
+    channels must equal 4*n_bands + n_classes + 1 (mass).
     """
+    if grid.channels != encoding.output_dim(2) + n_classes + 1:
+        raise ValueError(
+            f"grid channels {grid.channels} != 4*n_bands + n_classes + 1 (mass)"
+        )
+    out = grid.copy()
     if len(pc) == 0:
-        return grid.copy()
+        return out
     enc = fourier_encode_batch(
         np.stack([pc.positions[:, 2], pc.times], axis=1), encoding
     )
     onehot = np.zeros((len(pc), n_classes))
     labeled = pc.class_ids != UNLABELED
     onehot[np.flatnonzero(labeled), pc.class_ids[labeled].astype(int)] = 1.0
-    features = np.concatenate([enc, onehot], axis=1)
-    return _scatter(grid, pc.positions, np.ones(len(pc)), features)
-
-
-_BG_MAGIC = b"QOBG"
-_BG_VERSION = 1
-_BG_HEADER = struct.Struct("<I3I2f")  # version, width, height, channels, k_hr, beta
-
-
-def write_bev_grid(grid: BevGrid, destination) -> None:
-    blob = _BG_MAGIC + _BG_HEADER.pack(
-        _BG_VERSION, grid.width, grid.height, grid.channels,
-        grid.contraction.k_hr, grid.contraction.beta,
-    ) + grid.data.astype("<f4").tobytes()
-    write_bytes(destination, blob)
-
-
-def read_bev_grid(source) -> BevGrid:
-    data = read_bytes(source)
-    if len(data) < 4 or data[:4] != _BG_MAGIC:
-        raise BadMagicError("not a QOBG grid file")
-    if len(data) < 4 + _BG_HEADER.size:
-        raise TruncatedFileError("QOBG header truncated")
-    version, width, height, channels, k_hr, beta = _BG_HEADER.unpack_from(data, 4)
-    if version != _BG_VERSION:
-        raise FormatVersionError(f"unsupported QOBG version {version}")
-    count = width * height * channels
-    payload = data[4 + _BG_HEADER.size:]
-    if len(payload) < 4 * count:
-        raise TruncatedFileError("QOBG payload truncated")
-    arr = np.frombuffer(payload, dtype="<f4", count=count).astype(np.float64)
-    return BevGrid(
-        width, height, channels,
-        ContractionParams(float(k_hr), float(beta)),
-        arr.reshape(height, width, channels),
-    )
+    payload = np.concatenate([enc, onehot, np.ones((len(pc), 1))], axis=1)
+    iy, ix, w = bilinear_setup(pc.positions[:, 0], pc.positions[:, 1], grid)
+    for k in range(4):
+        np.add.at(out.data, (iy[:, k], ix[:, k]), w[:, k, None] * payload)
+    return out
 
 
 def grid_to_ppm(grid: BevGrid, channel: int = -1) -> bytes:

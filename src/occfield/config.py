@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .geometry import ContractionParams, DepthBinning, FourierConfig
 from .pointcloud import ClassTable, read_class_table
 from .scene import Box, Cylinder, GroundSlab, SceneSpec, ScanSpec
+from .supervision import SamplingConfig
 
 __all__ = [
     "RunConfig",
@@ -278,6 +279,18 @@ def read_run_config(path) -> RunConfig:
         raise ConfigError(
             f"{path}: [train] render_coarse must be at least 1 and render_importance at least 0"
         )
+    if min(train.hidden_width, train.grid_channels) < 1 or train.grid_size < 2:
+        raise ConfigError(
+            f"{path}: [train] hidden_width and grid_channels must be at least 1 and grid_size at least 2"
+        )
+    if min(train.hidden_layers, train.feature_dim, train.warmup_steps) < 0:
+        raise ConfigError(
+            f"{path}: [train] hidden_layers, feature_dim and warmup_steps must be at least 0"
+        )
+    if not (0 < train.learning_rate < math.inf and 0 <= train.weight_decay < math.inf):
+        raise ConfigError(
+            f"{path}: [train] needs a finite learning_rate above 0 and a finite weight_decay of at least 0"
+        )
 
     g = values_of("grid", _GRID_KEYS)
     grid = GridConfig(
@@ -308,13 +321,24 @@ def read_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: tolerances must be finite, positive and increasing")
 
     geo = values_of("geometry", _GEOMETRY_KEYS)
-    geometry = DepthBinning(
+
+    def checked(where: str, build):
+        """``build()``; the types the commands build check their own values."""
+        try:
+            return build()
+        except ValueError as e:
+            raise ConfigError(f"{path}: {where}: {e}") from None
+
+    checked("[train] k_hr, beta", train.contraction)
+    checked("[train] fourier_bands, fourier_min, fourier_max", train.fourier)
+    checked("[sampling]", lambda: SamplingConfig(**sampling))
+    geometry = checked("[geometry]", lambda: DepthBinning(
         d_near=geo.get("d_near", 40.0),
         d_far=geo.get("d_far", 100.0),
         alpha=geo.get("alpha", 0.3),
         n_bins=geo.get("n_bins", 64),
         infinity_bin_depth=geo.get("infinity_bin", 180.0),
-    )
+    ))
 
     return RunConfig(
         scene_path=base / run["scene"],

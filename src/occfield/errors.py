@@ -21,14 +21,6 @@ class FeatureDimMismatchError(FormatError):
     pass
 
 
-class InvalidDistributionError(ValueError):
-    """Per-pixel depth probabilities do not form a distribution."""
-
-
-class MissingPoseError(KeyError):
-    """No ego pose registered for a point's timestamp."""
-
-
 class EmptyBatchError(ValueError):
     """A query batch ended up with no usable samples."""
 

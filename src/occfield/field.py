@@ -33,7 +33,7 @@ from .errors import (
     TrainingDivergedError,
     TruncatedFileError,
 )
-from .geometry import ContractionParams, FourierConfig, Query4, fourier_encode_batch
+from .geometry import ContractionParams, FourierConfig, fourier_encode_batch
 from .pointcloud import UNLABELED, PointCloud
 from .supervision import QueryBatch
 from ._util import read_bytes, write_bytes
@@ -42,18 +42,14 @@ __all__ = [
     "FieldModel",
     "TrainConfig",
     "LossReport",
-    "FieldOutput",
-    "RenderResult",
     "RaySupervision",
     "init_field_model",
     "log_frequency_weights",
-    "forward",
     "forward_batch",
     "loss",
     "backward",
     "Gradients",
     "train",
-    "render_ray",
     "rays_from_pointcloud",
     "train_rendering_baseline",
     "write_field_model",
@@ -322,19 +318,6 @@ def _backward_from_output_grads(
     return Gradients(grid_grad, grads)
 
 
-@dataclasses.dataclass(frozen=True)
-class FieldOutput:
-    occ_prob: float
-    semantic_probs: np.ndarray
-    feature: np.ndarray
-
-
-def forward(model: FieldModel, q: Query4) -> FieldOutput:
-    """Evaluate the field at one metric-coordinate query."""
-    occ_p, sem_p, feat = forward_batch(model, q.as_array()[None, :])
-    return FieldOutput(float(occ_p[0]), sem_p[0], feat[0])
-
-
 def forward_batch(
     model: FieldModel, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -554,49 +537,6 @@ def train(
     return model, history
 
 
-@dataclasses.dataclass(frozen=True)
-class RenderResult:
-    rendered_depth: float
-    rendered_semantics: np.ndarray
-    transmittances: np.ndarray  # length n+1; entry i is before sample i
-    transparent: bool
-
-
-def render_ray(
-    model: FieldModel,
-    origin: np.ndarray,
-    direction: np.ndarray,
-    sample_depths: np.ndarray,
-    t: float = 0.0,
-) -> RenderResult:
-    """Alpha-composite field predictions along one ray.
-
-    Occupancy probability acts as per-sample opacity; rendered depth is the
-    opacity-weighted mean sample depth.  A ray whose total opacity mass
-    stays below RENDER_EPS is flagged transparent and reports the last
-    sample depth with uniform semantics.
-    """
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    direction = np.asarray(direction, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
-        raise ValueError("direction must be unit-norm")
-    depths = np.asarray(sample_depths, dtype=np.float64)
-    if len(depths) == 0 or np.any(np.diff(depths) <= 0):
-        raise ValueError("sample_depths must be non-empty and increasing")
-    pts = origin[None, :] + depths[:, None] * direction[None, :]
-    q = np.concatenate([pts, np.full((len(depths), 1), t)], axis=1)
-    occ, sem, _ = forward_batch(model, q)
-    trans = np.concatenate([[1.0], np.cumprod(1.0 - occ)])
-    w = trans[:-1] * occ
-    mass = w.sum()
-    if mass < RENDER_EPS:
-        uniform = np.full(model.n_classes, 1.0 / model.n_classes)
-        return RenderResult(float(depths[-1]), uniform, trans, True)
-    depth = float((w * depths).sum() / mass)
-    semantics = (w[:, None] * sem).sum(axis=0) / mass
-    return RenderResult(depth, semantics, trans, False)
-
-
 @dataclasses.dataclass
 class RaySupervision:
     """Target depth/class per ray, the rendering baseline's supervision."""
@@ -707,6 +647,8 @@ def train_rendering_baseline(
         w_coarse = np.concatenate([np.ones((b, 1)), trans_c[:, :-1]], axis=1) * occ_c
         mass_c = np.maximum(w_coarse.sum(axis=1), RENDER_EPS)
         d_pred = (w_coarse * coarse[None, :]).sum(axis=1) / mass_c
+        if not np.isfinite(d_pred).all():  # the fine depths would not be finite
+            raise TrainingDivergedError(step)
 
         fine = d_pred[:, None] + rng.uniform(-1.0, 1.0, (b, ni))
         fine = np.clip(fine, cfg.render_near, cfg.render_far)

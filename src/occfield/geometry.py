@@ -1,9 +1,8 @@
-"""Pure deterministic geometry: scene contraction, depth binning, camera
-lifting, Fourier positional encoding, and ray/box slab clipping.
+"""Pure deterministic geometry: scene contraction, depth binning, Fourier
+positional encoding, and ray/box slab clipping.
 
 Conventions used throughout the package:
   * ego frame: right-handed, z up, meters
-  * camera depth: z-coordinate in the camera frame (pinhole, no distortion)
   * contraction applies to x and y only; z and t are never contracted
 """
 
@@ -16,18 +15,10 @@ import numpy as np
 __all__ = [
     "ContractionParams",
     "DepthBinning",
-    "CameraModel",
-    "Query4",
     "FourierConfig",
-    "RigidTransform",
     "contract_axis",
     "uncontract_axis",
-    "contract_query",
     "depth_bin_edges",
-    "depth_bin_centers",
-    "lift_pixel",
-    "project_point",
-    "fourier_encode",
     "fourier_encode_batch",
     "ray_box",
 ]
@@ -81,28 +72,6 @@ def uncontract_axis(c, p: ContractionParams):
 
 
 @dataclasses.dataclass(frozen=True)
-class Query4:
-    """A spatio-temporal query point [x, y, z, t] in the reference ego frame."""
-
-    x: float
-    y: float
-    z: float
-    t: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.x, self.y, self.z, self.t)):
-            raise ValueError("Query4 coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.t], dtype=np.float64)
-
-
-def contract_query(q: Query4, p: ContractionParams) -> Query4:
-    """Contract x and y of a query; z and t pass through unchanged."""
-    return Query4(contract_axis(q.x, p), contract_axis(q.y, p), q.z, q.t)
-
-
-@dataclasses.dataclass(frozen=True)
 class DepthBinning:
     """Log-linear depth discretization.
 
@@ -112,8 +81,8 @@ class DepthBinning:
                + alpha * (d_near + r * (d_far - d_near))
 
     ``alpha`` blends pure exponential spacing (0) with uniform spacing (1).
-    ``infinity_bin_depth``, when set, appends one extra far bin whose
-    representative depth is that value.
+    ``infinity_bin_depth``, when set, appends one extra far bin that ends at
+    that depth.
     """
 
     d_near: float = 40.0
@@ -129,12 +98,8 @@ class DepthBinning:
             raise ValueError("alpha must lie in [0, 1]")
         if self.n_bins < 1:
             raise ValueError("n_bins must be positive")
-        if self.infinity_bin_depth is not None and self.infinity_bin_depth <= self.d_far:
+        if self.infinity_bin_depth is not None and not self.infinity_bin_depth > self.d_far:
             raise ValueError("infinity_bin_depth must exceed d_far")
-
-    @property
-    def total_bins(self) -> int:
-        return self.n_bins + (1 if self.infinity_bin_depth is not None else 0)
 
 
 def depth_bin_edges(b: DepthBinning) -> np.ndarray:
@@ -157,95 +122,6 @@ def depth_bin_edges(b: DepthBinning) -> np.ndarray:
     return edges
 
 
-def depth_bin_centers(b: DepthBinning) -> np.ndarray:
-    """Representative depth per bin: geometric midpoint of its edges.
-
-    The infinity bin is represented by ``infinity_bin_depth`` itself.
-    """
-    edges = depth_bin_edges(b)
-    if b.infinity_bin_depth is not None:
-        regular = np.sqrt(edges[:-2] * edges[1:-1])
-        return np.append(regular, b.infinity_bin_depth)
-    return np.sqrt(edges[:-1] * edges[1:])
-
-
-@dataclasses.dataclass(frozen=True)
-class RigidTransform:
-    """Rigid transform p_out = rotation @ p_in + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if R.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-6) or np.linalg.det(R) < 0:
-            raise ValueError("rotation must be orthonormal with det +1")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
-
-@dataclasses.dataclass(frozen=True)
-class CameraModel:
-    """Pinhole camera: 3x3 intrinsics plus a camera-to-ego rigid transform."""
-
-    intrinsics: np.ndarray
-    extrinsics: RigidTransform
-    width: int
-    height: int
-
-    def __post_init__(self):
-        K = np.asarray(self.intrinsics, dtype=np.float64)
-        if K.shape != (3, 3):
-            raise ValueError("intrinsics must be 3x3")
-        if abs(np.linalg.det(K)) < 1e-12:
-            raise ValueError("intrinsics must be invertible")
-        object.__setattr__(self, "intrinsics", K)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image size must be positive")
-
-
-def lift_pixel(cam: CameraModel, u, v, depth) -> np.ndarray:
-    """Lift pixel coordinates at a given camera depth into the ego frame.
-
-    ``depth`` is the z-coordinate in the camera frame.  Accepts scalars or
-    equally shaped arrays; returns points of shape (..., 3).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    d = np.asarray(depth, dtype=np.float64)
-    if np.any(u < 0) or np.any(u >= cam.width) or np.any(v < 0) or np.any(v >= cam.height):
-        raise ValueError("pixel outside image bounds")
-    if np.any(d <= 0):
-        raise ValueError("depth must be positive")
-    ones = np.ones_like(u)
-    pix = np.stack([u, v, ones], axis=-1)
-    rays = pix @ np.linalg.inv(cam.intrinsics).T  # z component is 1
-    p_cam = rays * d[..., None]
-    return cam.extrinsics.apply(p_cam)
-
-
-def project_point(cam: CameraModel, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project ego-frame points back to (u, v, depth). Inverse of lift_pixel."""
-    p_cam = cam.extrinsics.inverse().apply(np.asarray(point, dtype=np.float64))
-    z = p_cam[..., 2]
-    uvw = p_cam @ cam.intrinsics.T
-    return uvw[..., 0] / z, uvw[..., 1] / z, z
-
-
 @dataclasses.dataclass(frozen=True)
 class FourierConfig:
     """Sinusoidal encoding with frequencies laid out log-linearly.
@@ -260,8 +136,8 @@ class FourierConfig:
     def __post_init__(self):
         if self.n_bands < 1:
             raise ValueError("n_bands must be positive")
-        if not (0.0 < self.min_freq <= self.max_freq):
-            raise ValueError("need 0 < min_freq <= max_freq")
+        if not (0.0 < self.min_freq <= self.max_freq < np.inf):
+            raise ValueError("need 0 < min_freq <= max_freq, both finite")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -274,26 +150,11 @@ class FourierConfig:
         return 2 * self.n_bands * input_dim
 
 
-def fourier_encode(value, cfg: FourierConfig) -> np.ndarray:
-    """Encode a scalar or small vector: [sin(f_k * v_d)..., cos(f_k * v_d)...].
-
-    Output length is 2 * n_bands * dim, sines first (dim-major within each
-    block), then cosines in the same order.
-    """
-    v = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    if v.ndim != 1:
-        raise ValueError("fourier_encode expects a scalar or 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("fourier_encode requires finite input")
-    phases = (v[:, None] * cfg.frequencies[None, :]).ravel()
-    return np.concatenate([np.sin(phases), np.cos(phases)])
-
-
 def fourier_encode_batch(values: np.ndarray, cfg: FourierConfig) -> np.ndarray:
-    """Vectorized :func:`fourier_encode` over the leading axis.
+    """Sinusoidal encoding of each row: [sin(f_k * v_d)..., cos(f_k * v_d)...].
 
-    ``values`` has shape (N,) or (N, D); the result is (N, 2*n_bands*D) with
-    the same layout as the single-sample encoding.
+    ``values`` has shape (N,) or (N, D); the result is (N, 2*n_bands*D),
+    sines first (dim-major within the block), then cosines in the same order.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim == 1:

@@ -27,7 +27,6 @@ __all__ = [
     "SceneSpec",
     "ScanSpec",
     "VoxelVolume",
-    "oracle_query",
     "oracle_query_batch",
     "raycast_scan",
     "voxelize_ground_truth",
@@ -174,19 +173,11 @@ def _contains(prim: Primitive, pts: np.ndarray, t) -> np.ndarray:
     raise TypeError(f"unknown primitive {type(prim)}")
 
 
-def oracle_query(scene: SceneSpec, q) -> tuple[bool, int | None]:
-    """Exact occupancy and class at a 4D query; first primitive wins ties."""
-    arr = q.as_array() if hasattr(q, "as_array") else np.asarray(q, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("query must be finite")
-    occ, cls = oracle_query_batch(scene, arr[None, :3], np.array([arr[3]]))
-    return bool(occ[0]), (int(cls[0]) if occ[0] else None)
-
-
 def oracle_query_batch(
     scene: SceneSpec, points: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized oracle: returns (occupied bool (N,), class int32 (N,), FREE where empty)."""
+    """Exact occupancy and class at 4D queries: returns (occupied bool (N,),
+    class int32 (N,), FREE where empty); the first primitive wins overlaps."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     labels = np.full(len(pts), FREE, dtype=np.int32)

@@ -22,17 +22,13 @@ from .errors import (
     FormatVersionError,
     TruncatedFileError,
 )
-from .geometry import Query4
-from .pointcloud import UNLABELED, PointCloud, PointRecord
+from .pointcloud import UNLABELED, PointCloud
 from .scene import SceneSpec, oracle_query_batch
 from ._util import read_bytes, write_bytes
 
 __all__ = [
     "SamplingConfig",
-    "QuerySample",
     "QueryBatch",
-    "gen_negative_queries",
-    "gen_positive_queries",
     "build_query_set",
     "validate_against_oracle",
     "SupervisionReport",
@@ -54,25 +50,14 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:  # NaN fails this too
+            raise ValueError("delta must be positive and finite")
         if self.n_neg_per_point < 0 or self.n_pos_per_point < 0:
             raise ValueError("per-point counts must be non-negative")
         if not (self.t_min <= 0.0 <= self.t_max):
             raise ValueError("temporal window must contain the reference time 0")
         if self.r_distribution != "uniform":
             raise ValueError(f"unknown r_distribution {self.r_distribution!r}")
-
-
-@dataclasses.dataclass
-class QuerySample:
-    """One supervision sample: a 4D query with its targets."""
-
-    query: Query4
-    occupancy_target: int
-    semantic_target: int | None = None
-    feature_target: np.ndarray | None = None
-    source_point_index: int = -1
 
 
 class QueryBatch:
@@ -114,28 +99,8 @@ class QueryBatch:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def positive_count(self) -> int:
-        return int(np.sum(self.occupancy == 1))
-
-    @property
-    def negative_count(self) -> int:
-        return int(np.sum(self.occupancy == 0))
-
     def __len__(self) -> int:
         return len(self.queries)
-
-    def sample(self, i: int) -> QuerySample:
-        q = Query4(*self.queries[i])
-        occ = int(self.occupancy[i])
-        cls = int(self.classes[i])
-        return QuerySample(
-            q,
-            occ,
-            None if cls == UNLABELED else cls,
-            self.features[i].copy() if occ == 1 and self.feature_dim else None,
-            int(self.source_indices[i]),
-        )
 
     def take(self, indices: np.ndarray) -> "QueryBatch":
         idx = np.asarray(indices)
@@ -155,62 +120,16 @@ def _open_unit(rng: np.random.Generator, shape) -> np.ndarray:
     return u
 
 
-def gen_negative_queries(
-    point: PointRecord, cfg: SamplingConfig, rng: np.random.Generator | None = None
-) -> list[QuerySample]:
-    """Free-space samples at o + r (p - o), r ~ U(0, 1) open.
-
-    Degenerate rays (|p - o| below DEGENERATE_RAY_EPS) yield an empty list.
-    """
-    if cfg.n_neg_per_point <= 0:
-        raise ValueError("n_neg_per_point must be positive")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    d = np.asarray(point.position, dtype=np.float64) - np.asarray(point.origin, dtype=np.float64)
-    if np.linalg.norm(d) < DEGENERATE_RAY_EPS:
-        return []
-    r = _open_unit(rng, cfg.n_neg_per_point)
-    pts = np.asarray(point.origin, dtype=np.float64) + r[:, None] * d
-    return [
-        QuerySample(Query4(*p, point.time), 0) for p in pts
-    ]
-
-
-def gen_positive_queries(
-    point: PointRecord, cfg: SamplingConfig, rng: np.random.Generator | None = None
-) -> list[QuerySample]:
-    """Occupied samples at p + r * (p - o)/|p - o|, r ~ U(0, delta) open.
-
-    Semantic and feature targets are copied verbatim from the source point
-    (an UNLABELED class yields no semantic target).
-    """
-    if cfg.n_pos_per_point <= 0:
-        raise ValueError("n_pos_per_point must be positive")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    p = np.asarray(point.position, dtype=np.float64)
-    d = p - np.asarray(point.origin, dtype=np.float64)
-    norm = np.linalg.norm(d)
-    if norm < DEGENERATE_RAY_EPS:
-        return []
-    r = _open_unit(rng, cfg.n_pos_per_point) * cfg.delta
-    pts = p + r[:, None] * (d / norm)
-    cls = None if point.class_id == UNLABELED else int(point.class_id)
-    return [
-        QuerySample(
-            Query4(*q, point.time), 1, cls,
-            None if point.feature is None else np.array(point.feature, dtype=np.float64),
-        )
-        for q in pts
-    ]
-
-
 def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, rng: np.random.Generator):
-    """Vectorized per-cloud generation; mirrors the per-point operations.
+    """Free and occupied queries for every point of ``pc``.
 
-    The uniform draws depend only on the point count, so generation commutes
+    Per point, ``n_neg_per_point`` free samples at o + r (p - o), r ~ U(0, 1)
+    open, and ``n_pos_per_point`` occupied samples at p + r (p - o)/|p - o|,
+    r ~ U(0, delta) open, with the point's time, class and features.  The
+    uniform draws depend only on the point count, so generation commutes
     with rigid transforms of the inputs.  r matrices are drawn up front and
-    degenerate rays dropped afterwards.
+    degenerate rays (|p - o| below DEGENERATE_RAY_EPS) dropped afterwards.
+    Returns (neg_q, neg_src, pos_q, pos_src, pos_cls, pos_feat, skipped).
     """
     n = len(pc)
     d = pc.positions - pc.origins

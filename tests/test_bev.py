@@ -1,122 +1,47 @@
-import io
-
 import numpy as np
 import pytest
 
-from occfield import (
-    BevGrid,
-    CameraModel,
-    ContractionParams,
-    DepthBinning,
-    FourierConfig,
-    LiftedPoint,
-    PointCloud,
-    RigidTransform,
-    contract_axis,
-    encode_point_features,
-    lift_depth_distribution,
-    read_bev_grid,
-    splat,
-    splat_pointcloud,
-    write_bev_grid,
-)
+from occfield import BevGrid, ContractionParams, FourierConfig, PointCloud, contract_axis, splat_pointcloud
 from occfield.bev import bilinear_setup, grid_to_ppm
-from occfield.errors import InvalidDistributionError
 
 P = ContractionParams(40.0, 0.8)
+ENC = FourierConfig(1, 1.0, 1.0)  # 4 encoding channels: sin and cos of z and t
 
 
-def _cam(w=16, h=12):
-    K = np.array([[100.0, 0, w / 2], [0, 100.0, h / 2], [0, 0, 1.0]])
-    return CameraModel(K, RigidTransform.identity(), w, h)
+def _points(positions, cls=0):
+    """A cloud of ``positions`` at time 0, all of class ``cls``."""
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    n = len(pos)
+    return PointCloud(pos, pos + 5.0, np.zeros(n), np.full(n, cls, np.uint16), np.zeros(n, bool))
 
 
-class TestLift:
-    def test_one_hot_single_point_per_pixel(self):
-        cam = _cam()
-        bins = DepthBinning(2.0, 10.0, 0.3, 4, None)
-        dist = np.zeros((12, 16, 4))
-        dist[..., 2] = 1.0
-        feats = np.ones((12, 16, 3))
-        pts = lift_depth_distribution(cam, bins, feats, dist)
-        assert len(pts) == 12 * 16
-        assert all(p.weight == 1.0 and p.visibility == 1.0 for p in pts)
-
-    def test_uniform_visibility_is_survival_probability(self):
-        cam = _cam()
-        n = 5
-        bins = DepthBinning(2.0, 10.0, 0.3, n, None)
-        dist = np.full((12, 16, n), 1.0 / n)
-        feats = np.zeros((12, 16, 2))
-        pts = lift_depth_distribution(cam, bins, feats, dist)
-        # per pixel: bin i carries visibility 1 - i/n
-        by_pixel = {}
-        for p in pts:
-            by_pixel.setdefault(tuple(np.round(p.position, 9))[:2], []).append(p)
-        vis = sorted({round(p.visibility, 9) for p in pts})
-        np.testing.assert_allclose(vis, 1.0 - np.arange(n)[::-1] / n)
-        assert all(abs(p.weight - 1.0 / n) < 1e-12 for p in pts)
-
-    def test_total_weight_per_pixel_is_one(self):
-        cam = _cam(8, 6)
-        bins = DepthBinning(2.0, 10.0, 0.5, 6, None)
-        rng = np.random.default_rng(0)
-        dist = rng.random((6, 8, 6))
-        dist /= dist.sum(axis=2, keepdims=True)
-        pts = lift_depth_distribution(cam, bins, np.zeros((6, 8, 1)), dist)
-        total = sum(p.weight for p in pts)
-        assert total == pytest.approx(6 * 8, abs=1e-6)
-
-    def test_invalid_distribution(self):
-        cam = _cam(4, 4)
-        bins = DepthBinning(2.0, 10.0, 0.3, 3, None)
-        dist = np.full((4, 4, 3), 0.5)
-        with pytest.raises(InvalidDistributionError):
-            lift_depth_distribution(cam, bins, np.zeros((4, 4, 1)), dist)
-
-    def test_infinity_bin_representative(self):
-        cam = _cam(2, 2)
-        bins = DepthBinning(2.0, 10.0, 0.3, 3, 18.0)
-        dist = np.zeros((2, 2, 4))
-        dist[..., 3] = 1.0
-        pts = lift_depth_distribution(cam, bins, np.zeros((2, 2, 1)), dist)
-        # principal-ish pixels lifted to z-depth 18
-        for p in pts:
-            assert p.position[2] == pytest.approx(18.0)
+def _mass(grid):
+    return float(grid.data[:, :, -1].sum())
 
 
 class TestSplat:
     def test_point_at_cell_center_stays_in_one_cell(self):
-        grid = BevGrid(8, 8, 3, P)
+        grid = BevGrid(8, 8, 4 + 2 + 1, P)
         # cell centers sit at contracted (2(i+0.5)/8 - 1); pick i=5 -> 0.375
         x = 0.375 / 0.8 * 40.0  # inverse of contraction within the linear branch
-        pt = LiftedPoint(np.array([x, x, 0.0]), 2.0, 1.0, np.array([1.0, -1.0]))
-        out = splat([pt], grid)
-        assert out.data[5, 5, 2] == pytest.approx(2.0)
-        assert np.count_nonzero(out.data[:, :, 2]) == 1
+        out = splat_pointcloud(_points([x, x, 0.0], cls=1), grid, ENC, n_classes=2)
+        assert out.data[5, 5, -1] == pytest.approx(1.0)
+        assert out.data[5, 5, 4 + 1] == pytest.approx(1.0)  # one-hot class 1
+        assert np.count_nonzero(out.data[:, :, -1]) == 1
 
     def test_mass_conservation_with_far_points(self):
         rng = np.random.default_rng(1)
-        grid = BevGrid(16, 16, 4, P)
-        pts = [
-            LiftedPoint(rng.uniform(-900, 900, 3), float(rng.random()), 1.0,
-                        rng.standard_normal(3))
-            for _ in range(400)
-        ]
-        out = splat(pts, grid)
-        assert out.mass() == pytest.approx(sum(p.weight for p in pts), abs=1e-6)
+        grid = BevGrid(16, 16, 4 + 3 + 1, P)
+        out = splat_pointcloud(_points(rng.uniform(-900, 900, (400, 3)), cls=2), grid, ENC, n_classes=3)
+        assert _mass(out) == pytest.approx(400.0, abs=1e-6)
 
     def test_additivity(self):
         rng = np.random.default_rng(2)
-        grid = BevGrid(12, 12, 3, P)
-        pts = [
-            LiftedPoint(rng.uniform(-100, 100, 3), float(rng.random()), 1.0,
-                        rng.standard_normal(2))
-            for _ in range(100)
-        ]
-        both = splat(pts, grid)
-        parts = splat(pts[:50], grid).data + splat(pts[50:], grid).data
-        np.testing.assert_allclose(parts, both.data, atol=1e-9)
+        grid = BevGrid(12, 12, 4 + 2 + 1, P)
+        pc = _points(rng.uniform(-100, 100, (100, 3)), cls=1)
+        both = splat_pointcloud(pc, grid, ENC, n_classes=2)
+        halves = [splat_pointcloud(pc.take(np.arange(i, i + 50)), grid, ENC, n_classes=2) for i in (0, 50)]
+        np.testing.assert_allclose(halves[0].data + halves[1].data, both.data, atol=1e-9)
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(3)
@@ -144,14 +69,14 @@ class TestSplat:
 
     def test_channel_mismatch_rejected(self):
         grid = BevGrid(8, 8, 3, P)
-        pt = LiftedPoint(np.zeros(3), 1.0, 1.0, np.zeros(5))
-        with pytest.raises(ValueError):
-            splat([pt], grid)
+        for pc in (_points(np.zeros(3)), _points(np.zeros((0, 3)))):
+            with pytest.raises(ValueError, match="channels"):
+                splat_pointcloud(pc, grid, ENC, n_classes=2)
 
     def test_empty_input_returns_copy(self):
-        grid = BevGrid(8, 8, 3, P)
-        out = splat([], grid)
-        assert out is not grid
+        grid = BevGrid(8, 8, 4 + 2 + 1, P, np.full((8, 8, 7), 0.5))
+        out = splat_pointcloud(_points(np.zeros((0, 3))), grid, ENC, n_classes=2)
+        assert out is not grid and out.data is not grid.data
         np.testing.assert_array_equal(out.data, grid.data)
 
 
@@ -166,8 +91,8 @@ class TestSplatPointcloud:
     def test_empty_cloud_zero_grid(self):
         enc = FourierConfig(4, 1.0, 10.0)
         grid = BevGrid(8, 8, 4 * 4 + 3 + 1, P)
-        out = splat_pointcloud(PointCloud.empty(), grid, enc, n_classes=3)
-        assert out.mass() == 0.0
+        out = splat_pointcloud(_points(np.zeros((0, 3))), grid, enc, n_classes=3)
+        assert _mass(out) == 0.0
 
     def test_duplicate_point_doubles_mass(self):
         enc = FourierConfig(4, 1.0, 10.0)
@@ -189,30 +114,10 @@ class TestSplatPointcloud:
         rng = np.random.default_rng(6)
         pc = self._cloud(rng, 250, cls=2)
         out = splat_pointcloud(pc, grid, enc, n_classes=4)
-        assert out.mass() == pytest.approx(250.0, abs=1e-6)
+        assert _mass(out) == pytest.approx(250.0, abs=1e-6)
 
 
 class TestEncodeAndIO:
-    def test_encode_appends_weight_visibility_time(self):
-        enc = FourierConfig(2, 1.0, 10.0)
-        pts = [LiftedPoint(np.zeros(3), 0.25, 0.75, np.array([9.0]), time=0.0)]
-        out = encode_point_features(pts, enc)
-        feat = out[0].feature
-        assert len(feat) == 1 + 2 + 4
-        assert feat[0] == 9.0
-        assert feat[1] == 0.25 and feat[2] == 0.75
-        np.testing.assert_allclose(feat[3:5], [0.0, 0.0])  # sin(0)
-        np.testing.assert_allclose(feat[5:7], [1.0, 1.0])  # cos(0)
-
-    def test_grid_round_trip(self):
-        rng = np.random.default_rng(8)
-        grid = BevGrid(6, 4, 3, P, rng.integers(-100, 100, (4, 6, 3)) / 16.0)
-        buf = io.BytesIO()
-        write_bev_grid(grid, buf)
-        back = read_bev_grid(io.BytesIO(buf.getvalue()))
-        np.testing.assert_array_equal(back.data, grid.data)
-        assert back.contraction.k_hr == 40.0
-
     def test_ppm_header(self):
         grid = BevGrid(6, 4, 2, P)
         ppm = grid_to_ppm(grid)

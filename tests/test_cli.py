@@ -1,10 +1,14 @@
+import ast
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import occfield
 from occfield import brute_force_ray_iou, iou, metrics, ray_iou, read_voxel_volume, rays_from_scan
-from occfield.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from occfield.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from occfield.config import read_run_config, read_scan_file
 from occfield.scene import VoxelVolume
 
@@ -133,8 +137,10 @@ def test_ground_truth_scores_one_against_itself(tmp_path):
         assert not rep.zero_support
 
 
-def test_ground_truth_eval_counts_no_false_rays(tmp_path, monkeypatch):
-    run = _write_run(tmp_path)
+def _ground_truth_eval(tmp_path, monkeypatch, extra=""):
+    """Run eval with the ground truth as the prediction; return metrics.csv
+    rows and the ray_counts.csv columns (class, tolerance) pairs, tp, fp, fn."""
+    run = _write_run(tmp_path, extra=extra)
     assert _run(run, *PREP, "train") == [EXIT_OK] * 4
     out = tmp_path / "out"
     gt = read_voxel_volume(out / "gt.qovx")
@@ -143,12 +149,38 @@ def test_ground_truth_eval_counts_no_false_rays(tmp_path, monkeypatch):
     lines = (out / "ray_counts.csv").read_text().splitlines()
     assert lines[0] == "class,tolerance,tp,fp,fn"
     rows = [line.split(",") for line in lines[1:]]
-    names = ["ground", "block", "mover", "occupancy"]
-    assert [(r[0], r[1]) for r in rows] == [(c, t) for c in names for t in ("1.0", "2.0", "4.0")]
     tp, fp, fn = (np.array([int(r[k]) for r in rows]) for k in (2, 3, 4))
+    scores = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+    return scores, [(r[0], r[1]) for r in rows], tp, fp, fn
+
+
+def test_ground_truth_eval_counts_no_false_rays(tmp_path, monkeypatch):
+    _, keys, tp, fp, fn = _ground_truth_eval(tmp_path, monkeypatch)
+    names = ["ground", "block", "mover", "occupancy"]
+    assert keys == [(c, t) for c in names for t in ("1.0", "2.0", "4.0")]
     assert tp[-1] > 0 and not fp.any() and not fn.any()
     # every occupancy hit is a class hit at every tolerance
     np.testing.assert_array_equal(tp[-3:], tp[:-3].reshape(3, 3).sum(axis=0))
+
+
+def test_ground_truth_eval_with_surface_rays_scores_one(tmp_path, monkeypatch):
+    scores, _, tp, fp, fn = _ground_truth_eval(tmp_path, monkeypatch, "[metrics]\nray_source = surface\n")
+    assert tp[-1] > 0 and not fp.any() and not fn.any()
+    np.testing.assert_array_equal(tp[-3:], tp[:-3].reshape(3, 3).sum(axis=0))
+    per_class, summary = scores[1:4], scores[-1]
+    assert [row[:3] for row in per_class] == [[c, "1.000000", "1.000000"] for c in ("ground", "block", "mover")]
+    assert summary == ["1.000000"] * 6
+
+
+@pytest.mark.parametrize("mode", ["query", "rendering"])
+def test_divergence_exits_4(tmp_path, capsys, mode):
+    run = _write_run(tmp_path, mode=mode, extra="render_far = 20.0\n")
+    run.write_text(run.read_text().replace("learning_rate = 5e-3", "learning_rate = 1e300"))
+    assert _run(run, *PREP) == [EXIT_OK] * 3
+    with np.errstate(all="ignore"):
+        assert _run(run, "train") == [EXIT_DIVERGED]
+    assert "diverged" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.qofm").exists()
 
 
 def test_zero_class_model_is_a_validation_error(tmp_path, capsys):
@@ -200,3 +232,65 @@ def test_non_finite_query_is_a_validation_error(tmp_path, capsys, coordinate):
     path.write_bytes(bytes(blob))
     assert _run(run, "train") == [EXIT_VALIDATION]
     assert "finite" in capsys.readouterr().err
+
+
+# Functions that no command reaches on purpose, each with its reason.
+UNREACHED = {
+    "config._vec2": "reads a cylinder center; the scene here has no cylinder",
+    "errors.TrainingDivergedError.__init__": "the divergence path, see test_divergence_exits_4",
+    "field.loss": "perfbench's gradient check calls it",
+    "supervision.QueryBatch.take": "perfbench's gradient check calls it",
+    "metrics.first_hits_exact": "test oracle",
+    "metrics._exact_hits": "test oracle",
+    "metrics.brute_force_ray_iou": "test oracle",
+}
+
+
+def _package_functions() -> dict:
+    """(file name, first line of its code object) -> qualified name of every
+    def in the package."""
+    found = {}
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    # a decorated function's code starts at its first decorator
+                    first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                    found[(path, first)] = name
+                visit(child, name, path)
+
+    for path in sorted(Path(occfield.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, path.name)
+    return found
+
+
+def test_every_function_is_reached_by_a_command(tmp_path):
+    functions = _package_functions()
+    assert set(UNREACHED) <= set(functions.values()), "an allowed entry no longer exists"
+    entered = set()
+
+    def profile(frame, event, arg):
+        # by file name, not path: bytecode compiled in another checkout keeps its path
+        path = Path(frame.f_code.co_filename)
+        if event == "call" and path.parent.name == "occfield":
+            entered.add((path.name, frame.f_code.co_firstlineno))
+
+    runs = [
+        ("query", "", (*PREP, "train", "eval", "inspect-geometry")),
+        ("rendering", "render_far = 20.0\n", ("synth", "scan", "train", "eval")),
+        ("query", "[metrics]\nray_source = surface\n", (*PREP, "train", "eval")),
+    ]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for i, (mode, extra, commands) in enumerate(runs):
+            (tmp_path / str(i)).mkdir()
+            run = _write_run(tmp_path / str(i), mode=mode, extra=extra)
+            run.write_text(run.read_text().replace("total_steps = 20", "total_steps = 2"))
+            assert _run(run, *commands) == [EXIT_OK] * len(commands)
+    finally:
+        sys.setprofile(previous)
+    absent = sorted(name for key, name in functions.items() if key not in entered)
+    assert [name for name in absent if name not in UNREACHED] == []

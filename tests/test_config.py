@@ -220,11 +220,18 @@ def test_bad_value_stops_every_command_before_it_runs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+SECTION_OF = {"delta": "sampling", "d_near": "geometry"}  # any other key is in [train]
+
+
 def _set_train(text, key, value):
-    """Set ``key = value`` in [train], adding the line when the key is absent."""
+    """Set ``key = value`` in [train] or the section SECTION_OF names, adding
+    the line, and the section, when absent."""
     if any(line.split("=")[0].strip() == key for line in text.splitlines()):
         return _set(text, key, value)
-    return text.replace("[train]\n", f"[train]\n{key} = {value}\n")
+    section = f"[{SECTION_OF.get(key, 'train')}]\n"
+    if section not in text:
+        text += "\n" + section
+    return text.replace(section, f"{section}{key} = {value}\n")
 
 
 # (key, value): [train] values that would otherwise fail only once train runs
@@ -243,6 +250,23 @@ TRAIN_OUT_OF_RANGE = [
     ("render_far", "inf"),
     ("render_coarse", "0"),
     ("render_importance", "-1"),
+    ("hidden_width", "0"),
+    ("hidden_layers", "-1"),
+    ("grid_size", "1"),
+    ("grid_channels", "0"),
+    ("feature_dim", "-1"),
+    ("warmup_steps", "-5"),
+    ("learning_rate", "0"),
+    ("learning_rate", "nan"),
+    ("learning_rate", "inf"),
+    ("weight_decay", "-1e-4"),
+    ("weight_decay", "inf"),
+    ("k_hr", "0"),
+    ("beta", "1.5"),
+    ("fourier_bands", "0"),
+    ("fourier_max", "inf"),
+    ("delta", "-1"),  # [sampling]
+    ("d_near", "-1"),  # [geometry]
 ]
 
 
@@ -262,6 +286,11 @@ def test_out_of_range_train_value_exits_2_before_any_stage(tmp_path, capsys, key
     ("render_near", "0.001"),
     ("render_coarse", "1"),
     ("render_importance", "0"),
+    ("hidden_layers", "0"),
+    ("grid_size", "2"),
+    ("feature_dim", "0"),
+    ("warmup_steps", "0"),
+    ("weight_decay", "0"),
 ])
 def test_boundary_train_values_are_accepted(tmp_path, key, value):
     cfg = read_run_config(_write(tmp_path, _set_train(RUN, key, value)))

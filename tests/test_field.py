@@ -8,18 +8,15 @@ from occfield import (
     ContractionParams,
     FieldModel,
     FourierConfig,
-    Query4,
     QueryBatch,
     TrainConfig,
     UNLABELED,
     backward,
-    forward,
     forward_batch,
     init_field_model,
     log_frequency_weights,
     loss,
     read_field_model,
-    render_ray,
     train,
     write_field_model,
 )
@@ -201,9 +198,10 @@ def _cache_arrays(occ_logit, sem_logits, feat, cache):
 class TestForward:
     def test_zero_init_gives_half_and_uniform(self):
         model = _small_model()
-        out = forward(model, Query4(1.0, -2.0, 0.5, 0.1))
-        assert out.occ_prob == pytest.approx(0.5)
-        np.testing.assert_allclose(out.semantic_probs, np.full(3, 1 / 3))
+        occ_p, sem_p, feat = forward_batch(model, np.array([[1.0, -2.0, 0.5, 0.1], [30.0, 4.0, -1.0, -0.5]]))
+        np.testing.assert_array_equal(occ_p, [0.5, 0.5])
+        np.testing.assert_allclose(sem_p, np.full((2, 3), 1 / 3))
+        np.testing.assert_array_equal(feat, np.zeros((2, 2)))
 
     def test_simplex_and_range(self):
         model = _randomize(_small_model(), np.random.default_rng(0))
@@ -214,11 +212,11 @@ class TestForward:
 
     def test_determinism_same_inputs(self):
         model = _randomize(_small_model(), np.random.default_rng(2))
-        q = Query4(3.0, 4.0, 1.0, 0.5)
-        a = forward(model, q)
-        b = forward(model, q)
-        assert a.occ_prob == b.occ_prob
-        np.testing.assert_array_equal(a.semantic_probs, b.semantic_probs)
+        q = np.array([[3.0, 4.0, 1.0, 0.5]])
+        a = forward_batch(model, q)
+        b = forward_batch(model, q)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestInference:
@@ -516,48 +514,6 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as e:
             train(model, batch, cfg)
         assert 0 <= e.value.step < 200
-
-
-class TestRenderRay:
-    def test_single_opaque_sample(self):
-        model = _small_model(n_classes=2, feature_dim=0)
-        w, b = model.layers[-1]
-        b[0] = 40.0  # occ prob ~ 1 everywhere
-        res = render_ray(model, np.zeros(3), np.array([1.0, 0, 0]), np.array([5.0]))
-        assert res.rendered_depth == pytest.approx(5.0, abs=1e-9)
-        assert res.transmittances[-1] == pytest.approx(0.0, abs=1e-12)
-        assert not res.transparent
-
-    def test_fully_transparent_flag(self):
-        model = _small_model(n_classes=2, feature_dim=0)
-        w, b = model.layers[-1]
-        b[0] = -40.0  # occ prob ~ 0
-        res = render_ray(model, np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 4.0, 6.0]))
-        assert res.transparent
-        assert res.rendered_depth == 6.0
-
-    def test_two_sample_closed_form(self):
-        # opacities (0.5, 1.0) at depths (2, 4): depth = (0.5*2 + 0.5*4)/1 = 3
-        model = _small_model(n_classes=2, feature_dim=0)
-        # zero model gives occ 0.5; two samples, force the second opaque via
-        # a manual composite: use occ head bias 0 then patch probabilities by
-        # exploiting the closed form directly
-        occ = np.array([0.5, 1.0])
-        depths = np.array([2.0, 4.0])
-        trans = np.concatenate([[1.0], np.cumprod(1 - occ)])
-        wgt = trans[:-1] * occ
-        assert (wgt * depths).sum() / wgt.sum() == pytest.approx(3.0)
-        # and the rendered value from the model with occ=0.5 both samples:
-        res = render_ray(model, np.zeros(3), np.array([1.0, 0, 0]), depths)
-        wgt2 = np.array([0.5, 0.25])
-        assert res.rendered_depth == pytest.approx((wgt2 * depths).sum() / wgt2.sum())
-
-    def test_input_validation(self):
-        model = _small_model()
-        with pytest.raises(ValueError):
-            render_ray(model, np.zeros(3), np.array([2.0, 0, 0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            render_ray(model, np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 1.0]))
 
 
 class TestRenderingBaseline:

@@ -4,22 +4,14 @@ import numpy as np
 import pytest
 
 from occfield import (
-    CameraModel,
     ContractionParams,
     DepthBinning,
     FourierConfig,
-    Query4,
-    RigidTransform,
     contract_axis,
-    contract_query,
-    depth_bin_centers,
     depth_bin_edges,
-    fourier_encode,
-    lift_pixel,
-    project_point,
     uncontract_axis,
 )
-from occfield.geometry import ray_box
+from occfield.geometry import fourier_encode_batch, ray_box
 
 P = ContractionParams(k_hr=40.0, beta=0.8)
 
@@ -83,27 +75,6 @@ class TestContraction:
             ContractionParams(40.0, 1.0)
 
 
-class TestContractQuery:
-    def test_origin_passthrough(self):
-        q = contract_query(Query4(0.0, 0.0, 1.5, 0.5), P)
-        assert (q.x, q.y, q.z, q.t) == (0.0, 0.0, 1.5, 0.5)
-
-    def test_per_axis(self):
-        q = contract_query(Query4(80.0, -40.0, 2.0, 0.0), P)
-        assert q.x == pytest.approx(0.9, abs=1e-15)
-        assert q.y == pytest.approx(-0.8, abs=1e-15)
-        assert (q.z, q.t) == (2.0, 0.0)
-
-    def test_round_trip_xy(self):
-        q = contract_query(Query4(123.4, -56.7, 2.0, 0.25), P)
-        assert uncontract_axis(q.x, P) == pytest.approx(123.4, rel=1e-9)
-        assert uncontract_axis(q.y, P) == pytest.approx(-56.7, rel=1e-9)
-
-    def test_finiteness_enforced(self):
-        with pytest.raises(ValueError):
-            Query4(np.nan, 0.0, 0.0, 0.0)
-
-
 class TestDepthBins:
     def test_endpoints_any_alpha(self):
         for alpha in (0.0, 0.3, 1.0):
@@ -133,14 +104,7 @@ class TestDepthBins:
         e = depth_bin_edges(b)
         assert len(e) == 10
         assert e[-1] == 180.0
-        reps = depth_bin_centers(b)
-        assert len(reps) == 9
-        assert reps[-1] == 180.0
-
-    def test_centers_are_geometric_midpoints(self):
-        b = DepthBinning(2.0, 50.0, 0.0, 5, None)
-        e = depth_bin_edges(b)
-        np.testing.assert_allclose(depth_bin_centers(b), np.sqrt(e[:-1] * e[1:]))
+        assert e[-2] == 100.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -149,73 +113,26 @@ class TestDepthBins:
             DepthBinning(40.0, 100.0, 0.3, 8, infinity_bin_depth=90.0)
 
 
-def _random_camera(rng):
-    fx, fy = rng.uniform(100, 800, 2)
-    w, h = 640, 480
-    K = np.array([[fx, 0, w / 2 + rng.uniform(-5, 5)], [0, fy, h / 2 + rng.uniform(-5, 5)], [0, 0, 1.0]])
-    A = rng.standard_normal((3, 3))
-    Q, _ = np.linalg.qr(A)
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] *= -1
-    return CameraModel(K, RigidTransform(Q, rng.uniform(-3, 3, 3)), w, h)
-
-
-class TestLiftPixel:
-    def test_principal_point_on_axis(self):
-        K = np.array([[400.0, 0, 320.0], [0, 400.0, 240.0], [0, 0, 1.0]])
-        cam = CameraModel(K, RigidTransform.identity(), 640, 480)
-        p = lift_pixel(cam, 320.0, 240.0, 7.0)
-        np.testing.assert_allclose(p, [0.0, 0.0, 7.0], atol=1e-12)
-        assert np.linalg.norm(p) == pytest.approx(7.0)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            cam = _random_camera(rng)
-            u = rng.uniform(0, cam.width - 1e-6, 40)
-            v = rng.uniform(0, cam.height - 1e-6, 40)
-            d = rng.uniform(0.5, 80.0, 40)
-            u2, v2, d2 = project_point(cam, lift_pixel(cam, u, v, d))
-            assert np.max(np.abs(u2 - u)) < 1e-6
-            assert np.max(np.abs(v2 - v)) < 1e-6
-            assert np.max(np.abs(d2 - d)) < 1e-6
-
-    def test_translation_shifts_point(self):
-        K = np.array([[400.0, 0, 320.0], [0, 400.0, 240.0], [0, 0, 1.0]])
-        cam0 = CameraModel(K, RigidTransform.identity(), 640, 480)
-        t = np.array([1.5, -2.0, 0.25])
-        cam1 = CameraModel(K, RigidTransform(np.eye(3), t), 640, 480)
-        p0 = lift_pixel(cam0, 100.0, 200.0, 5.0)
-        p1 = lift_pixel(cam1, 100.0, 200.0, 5.0)
-        np.testing.assert_allclose(p1 - p0, t, atol=1e-12)
-
-    def test_out_of_image_rejected(self):
-        cam = _random_camera(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            lift_pixel(cam, -1.0, 10.0, 5.0)
-        with pytest.raises(ValueError):
-            lift_pixel(cam, 10.0, cam.height + 0.5, 5.0)
-        with pytest.raises(ValueError):
-            lift_pixel(cam, 10.0, 10.0, 0.0)
-
-
 class TestFourier:
     def test_zero_input(self):
         cfg = FourierConfig(16, 1.0, 10.0)
-        enc = fourier_encode(0.0, cfg)
+        enc = fourier_encode_batch(np.zeros(1), cfg)[0]
         np.testing.assert_array_equal(enc[:16], np.zeros(16))
         np.testing.assert_array_equal(enc[16:], np.ones(16))
 
     def test_length(self):
         cfg = FourierConfig(16, 1.0, 10.0)
-        assert len(fourier_encode(0.3, cfg)) == 32
-        assert len(fourier_encode(np.array([0.3, -1.0, 2.0]), cfg)) == 96
+        assert fourier_encode_batch(np.array([0.3, 0.5]), cfg).shape == (2, 32)
+        assert fourier_encode_batch(np.array([[0.3, -1.0, 2.0]]), cfg).shape == (1, 96)
 
     def test_deterministic(self):
         cfg = FourierConfig(8, 1.0, 10.0)
-        a = fourier_encode(np.array([0.7, 1.3]), cfg)
-        b = fourier_encode(np.array([0.7, 1.3]), cfg)
-        np.testing.assert_array_equal(a, b)
+        v = np.array([[0.7, 1.3], [-2.0, 0.1]])
+        a = fourier_encode_batch(v, cfg)
+        np.testing.assert_array_equal(a, fourier_encode_batch(v, cfg))
+        # sines first, dimension-major within each block, then cosines
+        phases = (v[:, :, None] * cfg.frequencies).reshape(2, 16)
+        np.testing.assert_array_equal(a, np.concatenate([np.sin(phases), np.cos(phases)], axis=1))
 
     def test_log_linear_band_layout(self):
         cfg = FourierConfig(16, 1.0, 10.0)

@@ -9,10 +9,8 @@ from occfield import (
     ClassTable,
     Cylinder,
     GroundSlab,
-    Query4,
     ScanSpec,
     SceneSpec,
-    oracle_query,
     raycast_scan,
     read_voxel_volume,
     voxelize_ground_truth,
@@ -36,33 +34,39 @@ def _basic_scene():
     )
 
 
+def _oracle(scene, x, y, z, t):
+    """(occupied, class or None) of one query through the batch oracle."""
+    occ, cls = oracle_query_batch(scene, np.array([[x, y, z]]), np.array([t]))
+    return bool(occ[0]), (int(cls[0]) if occ[0] else None)
+
+
 class TestOracle:
     def test_static_box_any_time(self):
         scene = _basic_scene()
         for t in (-3.0, 0.0, 5.0):
-            assert oracle_query(scene, Query4(8.0, 0.0, 1.0, t)) == (True, 1)
+            assert _oracle(scene, 8.0, 0.0, 1.0, t) == (True, 1)
 
     def test_free_above_everything(self):
-        assert oracle_query(_basic_scene(), Query4(0.0, 0.0, 5.0, 0.0)) == (False, None)
+        assert _oracle(_basic_scene(), 0.0, 0.0, 5.0, 0.0) == (False, None)
 
     def test_moving_box_vacates(self):
         scene = SceneSpec((Box((0.0, 0.0, 1.0), (2.0, 2.0, 2.0), 0, velocity=(1.0, 0, 0)),), 20.0)
-        assert oracle_query(scene, Query4(0.0, 0.0, 1.0, 0.0)) == (True, 0)
-        assert oracle_query(scene, Query4(0.0, 0.0, 1.0, 3.0)) == (False, None)
-        assert oracle_query(scene, Query4(3.0, 0.0, 1.0, 3.0)) == (True, 0)
+        assert _oracle(scene, 0.0, 0.0, 1.0, 0.0) == (True, 0)
+        assert _oracle(scene, 0.0, 0.0, 1.0, 3.0) == (False, None)
+        assert _oracle(scene, 3.0, 0.0, 1.0, 3.0) == (True, 0)
 
     def test_overlap_first_wins(self):
         scene = SceneSpec(
             (Box((0, 0, 1), (2, 2, 2), 1), Box((0, 0, 1), (4, 4, 4), 0)), 20.0
         )
-        assert oracle_query(scene, Query4(0.0, 0.0, 1.0, 0.0)) == (True, 1)
-        assert oracle_query(scene, Query4(1.5, 0.0, 1.0, 0.0)) == (True, 0)
+        assert _oracle(scene, 0.0, 0.0, 1.0, 0.0) == (True, 1)
+        assert _oracle(scene, 1.5, 0.0, 1.0, 0.0) == (True, 0)
 
     def test_cylinder_contains(self):
         scene = _basic_scene()
-        assert oracle_query(scene, Query4(0.0, 8.0, 1.5, 0.0)) == (True, 2)
-        assert oracle_query(scene, Query4(0.0, 9.5, 1.5, 0.0)) == (False, None)
-        assert oracle_query(scene, Query4(0.0, 8.0, 3.5, 0.0)) == (False, None)
+        assert _oracle(scene, 0.0, 8.0, 1.5, 0.0) == (True, 2)
+        assert _oracle(scene, 0.0, 9.5, 1.5, 0.0) == (False, None)
+        assert _oracle(scene, 0.0, 8.0, 3.5, 0.0) == (False, None)
 
 
 class TestRaycast:

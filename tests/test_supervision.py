@@ -7,20 +7,17 @@ from occfield import (
     Box,
     GroundSlab,
     PointCloud,
-    PointRecord,
     QueryBatch,
-    RigidTransform,
     SamplingConfig,
     SceneSpec,
     UNLABELED,
     build_query_set,
-    gen_negative_queries,
-    gen_positive_queries,
     read_query_batch,
     validate_against_oracle,
     write_query_batch,
 )
-from occfield.errors import EmptyBatchError
+from occfield.errors import EmptyBatchError, FeatureDimMismatchError
+from occfield.supervision import _cloud_queries
 
 
 class _FixedRng:
@@ -36,39 +33,45 @@ class _FixedRng:
 
 
 def _point(p, o, t=0.0, cls=3, feat=None):
-    return PointRecord(np.asarray(p, float), np.asarray(o, float), t, cls, feat)
+    """A cloud of one point ``p`` seen from ``o``."""
+    return PointCloud(
+        np.asarray(p, float)[None], np.asarray(o, float)[None], [t], [cls], [False],
+        None if feat is None else np.asarray(feat, float)[None],
+    )
+
+
+def _queries(point, cfg, rng=None):
+    """(negative queries, positive queries, positive classes, positive features, skipped)."""
+    neg_q, _, pos_q, _, pos_cls, pos_feat, skipped = _cloud_queries(
+        point, cfg, np.random.default_rng(cfg.seed) if rng is None else rng
+    )
+    return neg_q, pos_q, pos_cls, pos_feat, skipped
 
 
 class TestNegativeQueries:
     def test_midpoint_example(self):
         cfg = SamplingConfig(n_neg_per_point=1, seed=0)
         point = _point([10.0, 0.0, 0.0], [0.0, 0.0, 0.0], t=0.25)
-        out = gen_negative_queries(point, cfg, rng=_FixedRng(0.5))
-        assert len(out) == 1
-        q = out[0].query
-        assert (q.x, q.y, q.z, q.t) == (5.0, 0.0, 0.0, 0.25)
-        assert out[0].occupancy_target == 0
-        assert out[0].semantic_target is None
-        assert out[0].feature_target is None
+        neg_q = _queries(point, cfg, rng=_FixedRng(0.5))[0]
+        np.testing.assert_array_equal(neg_q, [[5.0, 0.0, 0.0, 0.25]])
 
     def test_open_interval(self):
         cfg = SamplingConfig(n_neg_per_point=500, seed=3)
         point = _point([10.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        out = gen_negative_queries(point, cfg)
-        xs = np.array([s.query.x for s in out])
+        xs = _queries(point, cfg)[0][:, 0]
+        assert len(xs) == 500
         assert np.all(xs > 0.0) and np.all(xs < 10.0)
 
     def test_deterministic(self):
         cfg = SamplingConfig(n_neg_per_point=5, seed=11)
         point = _point([3.0, 4.0, 0.0], [0.0, 0.0, 0.0])
-        a = gen_negative_queries(point, cfg)
-        b = gen_negative_queries(point, cfg)
-        assert [s.query for s in a] == [s.query for s in b]
+        np.testing.assert_array_equal(_queries(point, cfg)[0], _queries(point, cfg)[0])
 
     def test_degenerate_ray_skipped(self):
         cfg = SamplingConfig(n_neg_per_point=2, seed=0)
         point = _point([1.0, 0.0, 0.0], [1.0, 0.0, 1e-8])
-        assert gen_negative_queries(point, cfg) == []
+        neg_q, pos_q, _, _, skipped = _queries(point, cfg)
+        assert len(neg_q) == len(pos_q) == 0 and skipped == 1
 
 
 class TestPositiveQueries:
@@ -76,32 +79,29 @@ class TestPositiveQueries:
         cfg = SamplingConfig(delta=0.4, n_pos_per_point=1, seed=0)
         point = _point([10.0, 0.0, 0.0], [0.0, 0.0, 0.0], t=0.5, cls=7,
                        feat=np.array([1.0, 2.0]))
-        out = gen_positive_queries(point, cfg, rng=_FixedRng(0.5))  # r = 0.2
-        q = out[0].query
-        assert q.x == pytest.approx(10.2, abs=1e-12)
-        assert (q.y, q.z, q.t) == (0.0, 0.0, 0.5)
-        assert out[0].occupancy_target == 1
-        assert out[0].semantic_target == 7
-        np.testing.assert_array_equal(out[0].feature_target, [1.0, 2.0])
+        _, pos_q, pos_cls, pos_feat, _ = _queries(point, cfg, rng=_FixedRng(0.5))  # r = 0.2
+        assert len(pos_q) == 1
+        assert pos_q[0, 0] == pytest.approx(10.2, abs=1e-12)
+        assert tuple(pos_q[0, 1:]) == (0.0, 0.0, 0.5)
+        assert pos_cls.tolist() == [7]
+        np.testing.assert_array_equal(pos_feat, [[1.0, 2.0]])
 
     def test_behind_surface_within_delta(self):
         cfg = SamplingConfig(delta=0.4, n_pos_per_point=300, seed=5)
         point = _point([6.0, 8.0, 0.0], [0.0, 0.0, 0.0], cls=1)
-        out = gen_positive_queries(point, cfg)
+        q = _queries(point, cfg)[1][:, :3]
+        assert len(q) == 300
         p = np.array([6.0, 8.0, 0.0])
         unit = p / 10.0
-        for s in out:
-            q = np.array([s.query.x, s.query.y, s.query.z])
-            r = (q - p) @ unit
-            assert 0.0 < r < 0.4
-            # collinearity
-            assert np.linalg.norm(q - p - r * unit) < 1e-9
+        r = (q - p) @ unit
+        assert np.all(r > 0.0) and np.all(r < 0.4)
+        # collinearity
+        assert np.max(np.linalg.norm(q - p - r[:, None] * unit, axis=1)) < 1e-9
 
     def test_unlabeled_point_gives_no_semantic_target(self):
         cfg = SamplingConfig(n_pos_per_point=1, seed=0)
         point = _point([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], cls=UNLABELED)
-        out = gen_positive_queries(point, cfg)
-        assert out[0].semantic_target is None
+        assert _queries(point, cfg)[2].tolist() == [UNLABELED]
 
 
 def _grid_cloud(rng, n, t, cls=2, feat_dim=0):
@@ -124,15 +124,14 @@ class TestBuildQuerySet:
         cfg = SamplingConfig(n_neg_per_point=2, n_pos_per_point=2, seed=0)
         batch = build_query_set(clouds, cfg)
         assert len(batch) == 100 * 3 * 4
-        assert batch.positive_count == batch.negative_count == 600
+        assert np.count_nonzero(batch.occupancy == 1) == np.count_nonzero(batch.occupancy == 0) == 600
 
     def test_balanced_when_counts_differ(self):
         rng = np.random.default_rng(1)
         clouds = [_grid_cloud(rng, 80, 0.0)]
         cfg = SamplingConfig(n_neg_per_point=3, n_pos_per_point=1, seed=0)
         batch = build_query_set(clouds, cfg)
-        assert abs(batch.positive_count - batch.negative_count) <= 1
-        assert batch.positive_count == 80
+        assert np.count_nonzero(batch.occupancy == 0) == np.count_nonzero(batch.occupancy == 1) == 80
 
     def test_backward_only_window_excludes_future(self):
         rng = np.random.default_rng(2)
@@ -167,15 +166,26 @@ class TestBuildQuerySet:
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(Q) < 0:
             Q[:, 0] *= -1
-        pose = RigidTransform(Q, np.array([2.0, -1.0, 0.5]))
+        shift = np.array([2.0, -1.0, 0.5])
+
+        def pose(points):
+            return points @ Q.T + shift
+
         moved = PointCloud(
-            pose.apply(cloud.positions), pose.apply(cloud.origins), cloud.times,
+            pose(cloud.positions), pose(cloud.origins), cloud.times,
             cloud.class_ids, cloud.dynamic_flags, cloud.features,
         )
         a = build_query_set([moved], cfg)
         b = build_query_set([cloud], cfg)
-        np.testing.assert_allclose(a.queries[:, :3], pose.apply(b.queries[:, :3]), atol=1e-9)
+        np.testing.assert_allclose(a.queries[:, :3], pose(b.queries[:, :3]), atol=1e-9)
         np.testing.assert_array_equal(a.occupancy, b.occupancy)
+
+
+    def test_feature_dim_mismatch(self):
+        rng = np.random.default_rng(6)
+        clouds = [_grid_cloud(rng, 10, 0.0, feat_dim=1), _grid_cloud(rng, 10, 0.0, feat_dim=2)]
+        with pytest.raises(FeatureDimMismatchError):
+            build_query_set(clouds, SamplingConfig(seed=0))
 
 
 class TestOracleValidation:
