@@ -565,6 +565,28 @@ def rays_from_pointcloud(pc: PointCloud) -> RaySupervision:
     )
 
 
+def _composite(depths, occ, sem):
+    """Alpha-composite sorted samples along each ray (leading axis).
+
+    Returns (trans, w, mass_eff, guarded, depth, sem): transmittance before
+    each sample plus the one after the last, per-sample weights
+    w_i = T_i o_i, the normalizing opacity mass floored at ``RENDER_EPS``,
+    the rays where that floor is active (nearly transparent rays, whose
+    rendered depth and semantics shrink toward zero), and the rendered depth
+    and semantic probabilities, each normalized by the floored mass.
+    """
+    trans = np.concatenate(
+        [np.ones((len(depths), 1)), np.cumprod(1.0 - occ, axis=1)], axis=1
+    )
+    w = trans[:, :-1] * occ
+    mass = w.sum(axis=1)
+    guarded = mass < RENDER_EPS
+    mass_eff = np.maximum(mass, RENDER_EPS)
+    depth_r = (w * depths).sum(axis=1) / mass_eff
+    sem_r = (w[:, :, None] * sem).sum(axis=1) / mass_eff[:, None]
+    return trans, w, mass_eff, guarded, depth_r, sem_r
+
+
 def _composite_backward(
     depths, occ, sem, d_depth, d_sem_probs, w, trans, mass_eff, guarded,
     depth_val, sem_val,
@@ -662,15 +684,7 @@ def train_rendering_baseline(
         occ = _sigmoid(occ_logit).reshape(b, ns)
         sem = _softmax(sem_logits).reshape(b, ns, model.n_classes)
 
-        trans = np.concatenate(
-            [np.ones((b, 1)), np.cumprod(1.0 - occ, axis=1)], axis=1
-        )
-        w = trans[:, :-1] * occ
-        mass = w.sum(axis=1)
-        guarded = mass < RENDER_EPS
-        mass_eff = np.maximum(mass, RENDER_EPS)
-        depth_r = (w * depths).sum(axis=1) / mass_eff
-        sem_r = (w[:, :, None] * sem).sum(axis=1) / mass_eff[:, None]
+        trans, w, mass_eff, guarded, depth_r, sem_r = _composite(depths, occ, sem)
 
         labeled = tgt_c != UNLABELED
         depth_err = depth_r - tgt_d

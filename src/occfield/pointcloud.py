@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadMagicError, FormatVersionError, TruncatedFileError
+from .errors import BadMagicError, FeatureDimMismatchError, FormatVersionError, TruncatedFileError
 from ._util import read_bytes, write_bytes
 
 __all__ = [
@@ -82,6 +82,9 @@ class PointCloud:
     @staticmethod
     def concat(clouds: Sequence["PointCloud"]) -> "PointCloud":
         """All records of ``clouds`` in order; the first cloud's source tag."""
+        fdims = {c.feature_dim for c in clouds}
+        if len(fdims) > 1:
+            raise FeatureDimMismatchError(f"clouds disagree on feature_dim: {sorted(fdims)}")
         return PointCloud(
             np.concatenate([c.positions for c in clouds]),
             np.concatenate([c.origins for c in clouds]),

@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
 from occfield import BevGrid, ContractionParams, FourierConfig, PointCloud, contract_axis, splat_pointcloud
 from occfield.bev import bilinear_setup, grid_to_ppm
+from occfield.field import FieldModel, read_field_model, write_field_model
 
 P = ContractionParams(40.0, 0.8)
 ENC = FourierConfig(1, 1.0, 1.0)  # 4 encoding channels: sin and cos of z and t
@@ -118,6 +121,19 @@ class TestSplatPointcloud:
 
 
 class TestEncodeAndIO:
+    def test_grid_round_trip(self):
+        # the grid travels inside the QOFM model file; values exact in float32
+        rng = np.random.default_rng(8)
+        contraction = ContractionParams(40.0, 0.75)
+        grid = BevGrid(6, 4, 3, contraction, rng.integers(-100, 100, (4, 6, 3)) / 16.0)
+        model = FieldModel(grid, [(np.zeros((3 + 4 * ENC.n_bands, 2)), np.zeros(2))], ENC, 1, 0)
+        buf = io.BytesIO()
+        write_field_model(model, buf)
+        back = read_field_model(io.BytesIO(buf.getvalue())).grid
+        assert (back.width, back.height, back.channels) == (6, 4, 3)
+        np.testing.assert_array_equal(back.data, grid.data)
+        assert back.contraction == contraction
+
     def test_ppm_header(self):
         grid = BevGrid(6, 4, 2, P)
         ppm = grid_to_ppm(grid)

@@ -23,9 +23,11 @@ from occfield import (
 from occfield.errors import EmptyBatchError, TrainingDivergedError
 from occfield import field as field_module
 from occfield.field import (
+    RENDER_EPS,
     RaySupervision,
     _backward_from_output_grads,
     _cached_rows,
+    _composite,
     _forward_raw,
     _Workspace,
     train_rendering_baseline,
@@ -514,6 +516,46 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as e:
             train(model, batch, cfg)
         assert 0 <= e.value.step < 200
+
+
+class TestRenderRay:
+    """The rendering baseline's compositor on closed-form rays."""
+
+    def test_single_opaque_sample(self):
+        sem = np.array([[[0.25, 0.75]]])
+        trans, w, _, guarded, depth, sem_r = _composite(np.array([[5.0]]), np.array([[1.0]]), sem)
+        assert depth[0] == 5.0
+        assert trans[0, -1] == 0.0
+        assert not guarded[0]
+        np.testing.assert_array_equal(sem_r, sem[:, 0])
+
+    def test_fully_transparent_flag(self):
+        # a ray whose opacity mass is below the guard keeps the floored mass,
+        # so its rendered depth and semantics shrink toward zero
+        depths = np.array([[2.0, 4.0, 6.0], [2.0, 4.0, 6.0]])
+        occ = np.array([[1e-9, 1e-9, 1e-9], [0.01, 0.0, 0.0]])
+        sem = np.full((2, 3, 2), 0.5)
+        _, w, mass_eff, guarded, depth, sem_r = _composite(depths, occ, sem)
+        assert guarded.tolist() == [True, False]
+        assert mass_eff[0] == RENDER_EPS
+        assert depth[0] == pytest.approx(1e-9 * (2 + 4 + 6) / RENDER_EPS, rel=1e-6)
+        np.testing.assert_allclose(sem_r[0], 0.5 * w[0].sum() / RENDER_EPS)
+        assert depth[1] == pytest.approx(2.0)
+        np.testing.assert_allclose(sem_r[1], 0.5)
+
+    def test_two_sample_closed_form(self):
+        # opacities (0.5, 1.0) at depths (2, 4): weights (0.5, 0.5), depth 3;
+        # opacities (0.5, 0.5): weights (0.5, 0.25), normalized by their mass
+        depths = np.array([[2.0, 4.0], [2.0, 4.0]])
+        occ = np.array([[0.5, 1.0], [0.5, 0.5]])
+        sem = np.array([[[1.0, 0.0], [0.0, 1.0]]] * 2)
+        trans, w, mass_eff, _, depth, sem_r = _composite(depths, occ, sem)
+        np.testing.assert_array_equal(trans, [[1.0, 0.5, 0.0], [1.0, 0.5, 0.25]])
+        np.testing.assert_array_equal(w, [[0.5, 0.5], [0.5, 0.25]])
+        np.testing.assert_array_equal(mass_eff, [1.0, 0.75])
+        assert depth[0] == 3.0
+        assert depth[1] == pytest.approx((0.5 * 2 + 0.25 * 4) / 0.75)
+        np.testing.assert_allclose(sem_r, [[0.5, 0.5], [2 / 3, 1 / 3]])
 
 
 class TestRenderingBaseline:

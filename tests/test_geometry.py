@@ -11,6 +11,8 @@ from occfield import (
     depth_bin_edges,
     uncontract_axis,
 )
+from occfield import init_field_model
+from occfield.field import _encode
 from occfield.geometry import fourier_encode_batch, ray_box
 
 P = ContractionParams(k_hr=40.0, beta=0.8)
@@ -73,6 +75,46 @@ class TestContraction:
             ContractionParams(-1.0, 0.8)
         with pytest.raises(ValueError):
             ContractionParams(40.0, 1.0)
+
+
+class TestContractQuery:
+    """A 4D query (x, y, z, t) as the field encodes it: x and y are contracted
+    onto the BEV grid, z and t pass to the Fourier encoding unchanged."""
+
+    FOURIER = FourierConfig(2, 1.0, 4.0)
+
+    def _encode(self, query, size=64):
+        model = init_field_model(P, n_classes=2, grid_size=size, grid_channels=3,
+                                 fourier=self.FOURIER, hidden_width=4, hidden_layers=1)
+        enc, iy, ix, bw = _encode(model, np.array([query], dtype=np.float64))
+        u = (bw * ix).sum(axis=1)[0]  # continuous cell coordinates
+        v = (bw * iy).sum(axis=1)[0]
+        zt = enc[0, model.grid.channels:]
+        return 2 * (u + 0.5) / size - 1, 2 * (v + 0.5) / size - 1, zt
+
+    def _zt(self, z, t):
+        return np.concatenate([fourier_encode_batch(np.array([v]), self.FOURIER)[0] for v in (z, t)])
+
+    def test_origin_passthrough(self):
+        cx, cy, zt = self._encode((0.0, 0.0, 1.5, 0.5))
+        assert (cx, cy) == (0.0, 0.0)
+        np.testing.assert_array_equal(zt, self._zt(1.5, 0.5))
+
+    def test_per_axis(self):
+        cx, cy, zt = self._encode((80.0, -40.0, 2.0, 0.0))
+        assert cx == pytest.approx(0.9, abs=1e-12)
+        assert cy == pytest.approx(-0.8, abs=1e-12)
+        np.testing.assert_array_equal(zt, self._zt(2.0, 0.0))
+
+    def test_round_trip_xy(self):
+        cx, cy, _ = self._encode((123.4, -56.7, 2.0, 0.25))
+        assert uncontract_axis(cx, P) == pytest.approx(123.4, rel=1e-9)
+        assert uncontract_axis(cy, P) == pytest.approx(-56.7, rel=1e-9)
+
+    def test_finiteness_enforced(self):
+        for query in ((np.nan, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                self._encode(query)
 
 
 class TestDepthBins:

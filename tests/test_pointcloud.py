@@ -12,7 +12,12 @@ from occfield import (
     write_class_table,
     write_pointcloud,
 )
-from occfield.errors import BadMagicError, FormatVersionError, TruncatedFileError
+from occfield.errors import (
+    BadMagicError,
+    FeatureDimMismatchError,
+    FormatVersionError,
+    TruncatedFileError,
+)
 
 
 def _random_cloud(rng, n, feature_dim=0, tag="lidar"):
@@ -95,6 +100,12 @@ class TestIO:
             read_pointcloud(io.BytesIO(blob[:-7]))
         with pytest.raises(TruncatedFileError):
             read_pointcloud(io.BytesIO(blob[:10]))
+
+    def test_feature_dim_mismatch(self):
+        rng = np.random.default_rng(4)
+        clouds = [_random_cloud(rng, 2, feature_dim=1), _random_cloud(rng, 2, feature_dim=2)]
+        with pytest.raises(FeatureDimMismatchError):
+            PointCloud.concat(clouds)
 
     def test_class_table_round_trip(self, tmp_path):
         table = ClassTable(("ground", "car"), np.array([0.8, 0.2]), np.array([False, True]))
