@@ -8,10 +8,8 @@ and evaluate with voxel IoU and first-hit RayIoU.
 
 from .geometry import (
     ContractionParams,
-    DepthBinning,
     FourierConfig,
     contract_axis,
-    depth_bin_edges,
     uncontract_axis,
 )
 from .pointcloud import (

@@ -23,7 +23,7 @@ from .config import RunConfig, read_run_config, read_scan_file, read_scene_file
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .pointcloud import PointCloud, write_class_table, read_pointcloud, write_pointcloud
 from .scene import raycast_scan, read_voxel_volume, voxelize_ground_truth, write_voxel_volume
-from .geometry import contract_axis, depth_bin_edges, uncontract_axis
+from .geometry import contract_axis, uncontract_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,25 +115,13 @@ def _init_model(cfg: RunConfig, seed: int, n_classes: int) -> field.FieldModel:
     )
 
 
-def _train_config(cfg: RunConfig, seed: int, class_weights) -> field.TrainConfig:
-    ts = cfg.train
-    return field.TrainConfig(
-        lambda_occ=ts.lambda_occ, lambda_sem=ts.lambda_sem, lambda_vfm=ts.lambda_vfm,
-        learning_rate=ts.learning_rate, warmup_steps=ts.warmup_steps,
-        total_steps=ts.total_steps, batch_size=ts.batch_size,
-        class_weights=class_weights, weight_decay=ts.weight_decay, seed=seed,
-        render_near=ts.render_near, render_far=ts.render_far,
-        render_coarse=ts.render_coarse, render_importance=ts.render_importance,
-    )
-
-
 def cmd_train(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
     weights = None
     if scene.classes is not None:
         weights = field.log_frequency_weights(scene.classes.frequencies)
     model = _init_model(cfg, seed, scene.n_classes)
-    tc = _train_config(cfg, seed, weights)
+    tc = dataclasses.replace(cfg.train, seed=seed, class_weights=weights)
     if cfg.train.mode == "query":
         batch = supervision.read_query_batch(cfg.output_dir / "queries.qoqs")
         model, history = field.train(model, batch, tc)
@@ -193,11 +181,6 @@ def cmd_inspect_geometry(cfg: RunConfig, seed: int) -> None:
     _atomic_write(
         cfg.output_dir / "contraction_table.txt",
         lambda f: f.write("".join(lines).encode()),
-    )
-    edges = depth_bin_edges(cfg.geometry)
-    blines = ["index edge_m\n"] + [f"{i} {e:.6f}\n" for i, e in enumerate(edges)]
-    _atomic_write(
-        cfg.output_dir / "depth_bins.txt", lambda f: f.write("".join(blines).encode())
     )
 
     scene = read_scene_file(cfg.scene_path)

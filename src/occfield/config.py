@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError
-from .geometry import ContractionParams, DepthBinning, FourierConfig
+from .field import TrainConfig
 from .pointcloud import ClassTable, read_class_table
 from .scene import Box, Cylinder, GroundSlab, SceneSpec, ScanSpec
 from .supervision import SamplingConfig
@@ -23,7 +23,6 @@ __all__ = [
     "RunConfig",
     "GridConfig",
     "MetricsConfig",
-    "TrainSettings",
     "read_scene_file",
     "read_scan_file",
     "read_run_config",
@@ -176,41 +175,6 @@ class MetricsConfig:
     ray_source: str = "scan"  # or "surface"
 
 
-@dataclasses.dataclass(frozen=True)
-class TrainSettings:
-    """Typed view of the [train] section (model shape plus optimizer)."""
-
-    mode: str = "query"
-    learning_rate: float = 1e-3
-    warmup_steps: int = 200
-    total_steps: int = 5000
-    batch_size: int = 2048
-    lambda_occ: float = 1.0
-    lambda_sem: float = 0.5
-    lambda_vfm: float = 0.5
-    weight_decay: float = 1e-4
-    grid_size: int = 128
-    grid_channels: int = 16
-    hidden_width: int = 160
-    hidden_layers: int = 4
-    k_hr: float = 40.0
-    beta: float = 0.8
-    fourier_bands: int = 16
-    fourier_min: float = 1.0
-    fourier_max: float = 10.0
-    feature_dim: int = 0
-    render_near: float = 0.5
-    render_far: float = 60.0
-    render_coarse: int = 48
-    render_importance: int = 16
-
-    def contraction(self) -> ContractionParams:
-        return ContractionParams(self.k_hr, self.beta)
-
-    def fourier(self) -> FourierConfig:
-        return FourierConfig(self.fourier_bands, self.fourier_min, self.fourier_max)
-
-
 @dataclasses.dataclass
 class RunConfig:
     scene_path: Path
@@ -218,10 +182,9 @@ class RunConfig:
     output_dir: Path
     seed: int | None
     sampling: dict
-    train: TrainSettings
+    train: TrainConfig
     grid: GridConfig
     metrics: MetricsConfig
-    geometry: DepthBinning
 
 
 _RUN_KEYS = {"scene": str, "scan": str, "output_dir": str, "seed": int}
@@ -229,30 +192,23 @@ _SAMPLING_KEYS = {
     "delta": float, "n_neg_per_point": int, "n_pos_per_point": int,
     "t_min": float, "t_max": float,
 }
+# every TrainConfig field but the run's seed and class weights, parsed as the
+# type of its default
 _TRAIN_KEYS = {
-    "mode": str, "learning_rate": float, "warmup_steps": int, "total_steps": int,
-    "batch_size": int, "lambda_occ": float, "lambda_sem": float, "lambda_vfm": float,
-    "weight_decay": float, "grid_size": int, "grid_channels": int,
-    "hidden_width": int, "hidden_layers": int, "k_hr": float, "beta": float,
-    "fourier_bands": int, "fourier_min": float, "fourier_max": float,
-    "feature_dim": int, "render_near": float, "render_far": float,
-    "render_coarse": int, "render_importance": int,
+    f.name: type(f.default) for f in dataclasses.fields(TrainConfig)
+    if f.name not in ("seed", "class_weights")
 }
 _GRID_KEYS = {
     "x_min": float, "x_max": float, "y_min": float, "y_max": float,
     "z_min": float, "z_max": float, "cell_size": float,
 }
 _METRICS_KEYS = {"occ_threshold": float, "tolerances": _floats, "ray_source": str}
-_GEOMETRY_KEYS = {
-    "d_near": float, "d_far": float, "alpha": float, "n_bins": int,
-    "infinity_bin": float,
-}
 
 
 def read_run_config(path) -> RunConfig:
     path = Path(path)
     cp = _parser(path)
-    known_sections = {"run", "sampling", "train", "grid", "metrics", "geometry"}
+    known_sections = {"run", "sampling", "train", "grid", "metrics"}
     for section in cp.sections():
         if section not in known_sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
@@ -265,32 +221,15 @@ def read_run_config(path) -> RunConfig:
     def values_of(name: str, known: dict) -> dict:
         return _values(path, name, dict(cp.items(name)), known) if cp.has_section(name) else {}
 
+    def checked(where: str, build):
+        """``build()``; the types the commands build check their own values."""
+        try:
+            return build()
+        except ValueError as e:
+            raise ConfigError(f"{path}: {where}: {e}") from None
+
     sampling = values_of("sampling", _SAMPLING_KEYS)
-    train = TrainSettings(**values_of("train", _TRAIN_KEYS))
-    if train.mode not in ("query", "rendering"):
-        raise ConfigError(f"{path}: train mode must be 'query' or 'rendering'")
-    if train.total_steps < 1 or train.batch_size < 1:
-        raise ConfigError(f"{path}: [train] total_steps and batch_size must be at least 1")
-    if not all(lam >= 0 for lam in (train.lambda_occ, train.lambda_sem, train.lambda_vfm)):
-        raise ConfigError(f"{path}: [train] lambda_occ, lambda_sem and lambda_vfm must be non-negative")
-    if not 0 < train.render_near < train.render_far < math.inf:  # NaN fails this too
-        raise ConfigError(f"{path}: [train] needs 0 < render_near < render_far, both finite")
-    if train.render_coarse < 1 or train.render_importance < 0:
-        raise ConfigError(
-            f"{path}: [train] render_coarse must be at least 1 and render_importance at least 0"
-        )
-    if min(train.hidden_width, train.grid_channels) < 1 or train.grid_size < 2:
-        raise ConfigError(
-            f"{path}: [train] hidden_width and grid_channels must be at least 1 and grid_size at least 2"
-        )
-    if min(train.hidden_layers, train.feature_dim, train.warmup_steps) < 0:
-        raise ConfigError(
-            f"{path}: [train] hidden_layers, feature_dim and warmup_steps must be at least 0"
-        )
-    if not (0 < train.learning_rate < math.inf and 0 <= train.weight_decay < math.inf):
-        raise ConfigError(
-            f"{path}: [train] needs a finite learning_rate above 0 and a finite weight_decay of at least 0"
-        )
+    train = checked("[train]", lambda: TrainConfig(**values_of("train", _TRAIN_KEYS)))
 
     g = values_of("grid", _GRID_KEYS)
     grid = GridConfig(
@@ -320,25 +259,7 @@ def read_run_config(path) -> RunConfig:
     if not taus or not increasing or not all(0 < t < math.inf for t in taus):
         raise ConfigError(f"{path}: tolerances must be finite, positive and increasing")
 
-    geo = values_of("geometry", _GEOMETRY_KEYS)
-
-    def checked(where: str, build):
-        """``build()``; the types the commands build check their own values."""
-        try:
-            return build()
-        except ValueError as e:
-            raise ConfigError(f"{path}: {where}: {e}") from None
-
-    checked("[train] k_hr, beta", train.contraction)
-    checked("[train] fourier_bands, fourier_min, fourier_max", train.fourier)
     checked("[sampling]", lambda: SamplingConfig(**sampling))
-    geometry = checked("[geometry]", lambda: DepthBinning(
-        d_near=geo.get("d_near", 40.0),
-        d_far=geo.get("d_far", 100.0),
-        alpha=geo.get("alpha", 0.3),
-        n_bins=geo.get("n_bins", 64),
-        infinity_bin_depth=geo.get("infinity_bin", 180.0),
-    ))
 
     return RunConfig(
         scene_path=base / run["scene"],
@@ -349,5 +270,4 @@ def read_run_config(path) -> RunConfig:
         train=train,
         grid=grid,
         metrics=metrics,
-        geometry=geometry,
     )

@@ -8,9 +8,10 @@ against finite differences in the test suite.  Training uses Adam moments
 with decoupled weight decay, linear warmup, and cosine decay.  Inference
 (``forward_batch``) keeps no backprop cache and no derivatives.
 
-Both training loops keep their activations, squareplus derivatives and
-optimizer temporaries in buffers that last the whole run (``_Workspace``,
-``_AdamW``), so a step after the first allocates no activation-sized array.
+Both training modes run through one loop (``_run_steps``) that keeps the
+activations, squareplus derivatives and optimizer temporaries in buffers that
+last the whole run (``_Workspace``, ``_AdamW``), so a step after the first
+allocates no activation-sized array.
 The rendering baseline evaluates each sample once: the coarse pass keeps its
 cache, only the importance depths are added, and the cached rows are
 gathered into sorted depth order, which gives the bytes of one pass over all
@@ -156,20 +157,10 @@ def init_field_model(
     hidden_width: int = 160,
     hidden_layers: int = 4,
     seed: int = 0,
-    grid_init: BevGrid | None = None,
 ) -> FieldModel:
-    """He-initialized hidden layers, zero-initialized final head and grid.
-
-    ``grid_init`` (e.g. a deterministic splat output) may seed the grid; its
-    geometry must match.
-    """
+    """He-initialized hidden layers, zero-initialized final head and grid."""
     rng = np.random.default_rng(seed)
-    if grid_init is not None:
-        grid = grid_init.copy()
-        if grid.contraction != contraction:
-            raise ValueError("grid_init contraction mismatch")
-    else:
-        grid = BevGrid(grid_size, grid_size, grid_channels, contraction)
+    grid = BevGrid(grid_size, grid_size, grid_channels, contraction)
     in_dim = grid.channels + 4 * fourier.n_bands
     out_dim = 1 + n_classes + feature_dim
     sizes = [in_dim] + [hidden_width] * hidden_layers + [out_dim]
@@ -259,7 +250,9 @@ def _forward_raw(model: FieldModel, queries: np.ndarray, work=None, start: int =
     Squareplus runs in place and its derivative overwrites the
     pre-activation.  A row's values do not depend on the other rows of its
     batch, except that numpy multiplies a one-row batch through a
-    matrix-vector product, which may round differently.
+    matrix-vector product, which may round differently; ``forward_batch``
+    pads such a batch to two rows, so only this training pass keeps the
+    exception.
     """
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
     n = len(q)
@@ -323,41 +316,93 @@ def forward_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized inference: (occ_prob (N,), semantic_probs (N,S), feature (N,F)).
     Keeps no backprop cache: two buffers serve every hidden layer, and squareplus
-    runs in place through ``_squareplus``, so outputs equal training's bit for bit."""
-    h, a = _encode(model, queries)[0], None
+    runs in place through ``_squareplus``, so outputs equal training's bit for bit.
+    A one-row batch runs as two copies of its row, so that numpy multiplies it
+    as a matrix and it gets the bits of the same row in a larger batch."""
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
+    rows = len(q)
+    h, a = _encode(model, np.repeat(q, 2, axis=0) if rows == 1 else q)[0], None
     for w, b in model.layers[:-1]:
         a = np.matmul(h, w, out=a if a is not None and a.shape[1] == w.shape[1] else None)
         # h is spent once a holds h @ w
         h = _squareplus(a, b, h if h.shape == a.shape else np.empty_like(a), deriv=False)
     w, b = model.layers[-1]
-    out = h @ w + b
+    out = (h @ w + b)[:rows]
     n = model.n_classes
     return _sigmoid(out[:, 0]), _softmax(out[:, 1 : 1 + n]), out[:, 1 + n :]
 
 
 @dataclasses.dataclass(frozen=True)
 class TrainConfig:
+    """The ``[train]`` section plus a run's seed and class weights, range-checked
+    when built: a bad value raises ValueError naming its key."""
+
     lambda_occ: float = 1.0
     lambda_sem: float = 0.5
     lambda_vfm: float = 0.5
+    mode: str = "query"  # or "rendering"
     learning_rate: float = 1e-3
     warmup_steps: int = 200
     total_steps: int = 5000
     batch_size: int = 2048
-    class_weights: np.ndarray | None = None
     weight_decay: float = 1e-4
-    seed: int = 0
+    grid_size: int = 128
+    grid_channels: int = 16
+    hidden_width: int = 160
+    hidden_layers: int = 4
+    k_hr: float = 40.0
+    beta: float = 0.8
+    fourier_bands: int = 16
+    fourier_min: float = 1.0
+    fourier_max: float = 10.0
+    feature_dim: int = 0
     # rendering-supervision knobs (used by train_rendering_baseline only)
     render_near: float = 0.5
     render_far: float = 60.0
     render_coarse: int = 48
     render_importance: int = 16
+    seed: int = 0
+    class_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if min(self.lambda_occ, self.lambda_sem, self.lambda_vfm) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.total_steps <= 0 or self.batch_size <= 0:
-            raise ValueError("steps and batch size must be positive")
+        for ok, message in (
+            (self.mode in ("query", "rendering"), "mode must be 'query' or 'rendering'"),
+            (min(self.total_steps, self.batch_size) >= 1,
+             "total_steps and batch_size must be at least 1"),
+            (all(lam >= 0 for lam in (self.lambda_occ, self.lambda_sem, self.lambda_vfm)),
+             "lambda_occ, lambda_sem and lambda_vfm must be non-negative"),
+            (0 < self.render_near < self.render_far < np.inf,  # NaN fails this too
+             "needs 0 < render_near < render_far, both finite"),
+            (self.render_coarse >= 1 and self.render_importance >= 0,
+             "render_coarse must be at least 1 and render_importance at least 0"),
+            (min(self.hidden_width, self.grid_channels) >= 1 and self.grid_size >= 2,
+             "hidden_width and grid_channels must be at least 1 and grid_size at least 2"),
+            (min(self.hidden_layers, self.feature_dim, self.warmup_steps) >= 0,
+             "hidden_layers, feature_dim and warmup_steps must be at least 0"),
+            (0 < self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf,
+             "needs a finite learning_rate above 0 and a finite weight_decay of at least 0"),
+        ):
+            if not ok:
+                raise ValueError(message)
+        for keys, build in (
+            ("k_hr, beta", self.contraction),
+            ("fourier_bands, fourier_min, fourier_max", self.fourier),
+        ):
+            try:
+                build()
+            except ValueError as e:
+                raise ValueError(f"{keys}: {e}") from None
+        with np.errstate(over="ignore"):  # the model file stores these as float32
+            stored = np.float32([self.k_hr, self.fourier_min, self.fourier_max, self.beta])
+        if not (stored.min() > 0 and stored[:3].max() < np.inf and stored[3] < 1):
+            raise ValueError("as float32, k_hr, fourier_min and fourier_max must be "
+                             "positive and finite, and beta must lie in (0, 1)")
+
+    def contraction(self) -> ContractionParams:
+        return ContractionParams(self.k_hr, self.beta)
+
+    def fourier(self) -> FourierConfig:
+        return FourierConfig(self.fourier_bands, self.fourier_min, self.fourier_max)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -513,28 +558,42 @@ def _decay_mask(model: FieldModel) -> list[bool]:
     return mask
 
 
+def _run_steps(model: FieldModel, cfg: TrainConfig, rows: int, step_fn):
+    """The training loop of both modes; deterministic given cfg.seed.
+
+    ``step_fn(step, rng, work, grid_grad)`` draws its batch from ``rng``, runs
+    its forward pass in ``work``, a ``_Workspace`` of ``rows`` rows, and returns
+    (Gradients, LossReport) with the grid gradient in ``grid_grad``.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    opt = _AdamW(model.parameters(), _decay_mask(model), cfg)
+    grid_grad = np.empty_like(model.grid.data)  # one for all steps: see _AdamW
+    work = _Workspace(rows)
+    history: list[LossReport] = []
+    # overflow after a divergence is reported via TrainingDivergedError, not
+    # as floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.total_steps):
+            grads, report = step_fn(step, rng, work, grid_grad)
+            if not np.isfinite(report.total):
+                raise TrainingDivergedError(step)
+            opt.step(_flatten_grads(grads), step)
+            history.append(report)
+    return model, history
+
+
 def train(
     model: FieldModel, queries: QueryBatch, cfg: TrainConfig
 ) -> tuple[FieldModel, list[LossReport]]:
     """Mini-batch training on a query batch; deterministic given cfg.seed."""
     if len(queries) == 0:
         raise EmptyBatchError("cannot train on an empty batch")
-    rng = np.random.default_rng(cfg.seed)
-    opt = _AdamW(model.parameters(), _decay_mask(model), cfg)
-    grid_grad = np.empty_like(model.grid.data)  # one for all steps: see _AdamW
-    work = _Workspace(cfg.batch_size)
-    history: list[LossReport] = []
-    # overflow after a divergence is reported via TrainingDivergedError, not
-    # as floating-point warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.total_steps):
-            idx = rng.integers(0, len(queries), cfg.batch_size)
-            grads, report = backward(model, queries, cfg, idx, grid_grad, work)
-            if not np.isfinite(report.total):
-                raise TrainingDivergedError(step)
-            opt.step(_flatten_grads(grads), step)
-            history.append(report)
-    return model, history
+
+    def step(index, rng, work, grid_grad):
+        idx = rng.integers(0, len(queries), cfg.batch_size)
+        return backward(model, queries, cfg, idx, grid_grad, work)
+
+    return _run_steps(model, cfg, cfg.batch_size, step)
 
 
 @dataclasses.dataclass
@@ -641,20 +700,15 @@ def train_rendering_baseline(
     """
     if len(rays) == 0:
         raise EmptyBatchError("no supervision rays")
-    rng = np.random.default_rng(cfg.seed)
-    opt = _AdamW(model.parameters(), _decay_mask(model), cfg)
-    grid_grad = np.empty_like(model.grid.data)  # one for all steps: see _AdamW
     coarse = np.geomspace(cfg.render_near, cfg.render_far, cfg.render_coarse)
     b, nc, ni = cfg.batch_size, cfg.render_coarse, cfg.render_importance
     ns = nc + ni
-    work = _Workspace(b * ns)
     # each ray's samples in the workspace: coarse rows first, importance rows after
     rows = np.arange(b * ns)
     source = np.hstack([rows[: b * nc].reshape(b, nc), rows[b * nc :].reshape(b, ni)])
-    history: list[LossReport] = []
     w_c = _class_weights(model, cfg)
-    for step in range(cfg.total_steps):
 
+    def step(index, rng, work, grid_grad):
         idx = rng.integers(0, len(rays), cfg.batch_size)
         org = rays.origins[idx]
         dirs = rays.directions[idx]
@@ -670,7 +724,7 @@ def train_rendering_baseline(
         mass_c = np.maximum(w_coarse.sum(axis=1), RENDER_EPS)
         d_pred = (w_coarse * coarse[None, :]).sum(axis=1) / mass_c
         if not np.isfinite(d_pred).all():  # the fine depths would not be finite
-            raise TrainingDivergedError(step)
+            raise TrainingDivergedError(index)
 
         fine = d_pred[:, None] + rng.uniform(-1.0, 1.0, (b, ni))
         fine = np.clip(fine, cfg.render_near, cfg.render_far)
@@ -700,9 +754,6 @@ def train_rendering_baseline(
             d_sem_r[labeled, tgt_c[labeled].astype(int)] = (
                 wi * (-1.0 / (p_true + tiny)) / n_lab
             )
-        total = l_depth + l_sem
-        if not np.isfinite(total):
-            raise TrainingDivergedError(step)
 
         d_depth_r = np.sign(depth_err) / b
         d_occ_rows, d_sem_rows = _composite_backward(
@@ -716,9 +767,9 @@ def train_rendering_baseline(
         grads = _backward_from_output_grads(
             model, cache, d_occ_logit, d_sem_logits, np.zeros_like(feat), grid_grad
         )
-        opt.step(_flatten_grads(grads), step)
-        history.append(LossReport(total, l_depth, l_sem, 0.0, b, n_lab, 0))
-    return model, history
+        return grads, LossReport(l_depth + l_sem, l_depth, l_sem, 0.0, b, n_lab, 0)
+
+    return _run_steps(model, cfg, b * ns, step)
 
 
 _FM_MAGIC = b"QOFM"

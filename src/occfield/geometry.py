@@ -1,5 +1,5 @@
-"""Pure deterministic geometry: scene contraction, depth binning, Fourier
-positional encoding, and ray/box slab clipping.
+"""Pure deterministic geometry: scene contraction, Fourier positional
+encoding, and ray/box slab clipping.
 
 Conventions used throughout the package:
   * ego frame: right-handed, z up, meters
@@ -14,11 +14,9 @@ import numpy as np
 
 __all__ = [
     "ContractionParams",
-    "DepthBinning",
     "FourierConfig",
     "contract_axis",
     "uncontract_axis",
-    "depth_bin_edges",
     "fourier_encode_batch",
     "ray_box",
 ]
@@ -69,57 +67,6 @@ def uncontract_axis(c, p: ContractionParams):
     far = np.sign(cc) * (1.0 - p.beta) / (1.0 - ac) * p.k_hr
     out = np.where(ac <= p.beta, cc / p.beta * p.k_hr, far)
     return float(out) if np.isscalar(c) else out
-
-
-@dataclasses.dataclass(frozen=True)
-class DepthBinning:
-    """Log-linear depth discretization.
-
-    Bin edge at normalized position r in [0, 1]:
-
-        d(r) = (1 - alpha) * d_near * (d_far/d_near)**r
-               + alpha * (d_near + r * (d_far - d_near))
-
-    ``alpha`` blends pure exponential spacing (0) with uniform spacing (1).
-    ``infinity_bin_depth``, when set, appends one extra far bin that ends at
-    that depth.
-    """
-
-    d_near: float = 40.0
-    d_far: float = 100.0
-    alpha: float = 0.3
-    n_bins: int = 64
-    infinity_bin_depth: float | None = 180.0
-
-    def __post_init__(self):
-        if not (0.0 < self.d_near < self.d_far):
-            raise ValueError("need 0 < d_near < d_far")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be positive")
-        if self.infinity_bin_depth is not None and not self.infinity_bin_depth > self.d_far:
-            raise ValueError("infinity_bin_depth must exceed d_far")
-
-
-def depth_bin_edges(b: DepthBinning) -> np.ndarray:
-    """Edges of the depth bins, strictly increasing.
-
-    Returns ``n_bins + 1`` values from d_near to d_far; if an infinity bin is
-    configured its depth is appended as one extra edge.
-    """
-    r = np.linspace(0.0, 1.0, b.n_bins + 1)
-    edges = (1.0 - b.alpha) * b.d_near * (b.d_far / b.d_near) ** r + b.alpha * (
-        b.d_near + r * (b.d_far - b.d_near)
-    )
-    # endpoints are d_near and d_far analytically; pin them exactly
-    edges[0] = b.d_near
-    edges[-1] = b.d_far
-    if b.infinity_bin_depth is not None:
-        edges = np.append(edges, b.infinity_bin_depth)
-    if not np.all(np.diff(edges) > 0):
-        raise ValueError("depth bin edges are not strictly increasing")
-    return edges
 
 
 @dataclasses.dataclass(frozen=True)

@@ -134,6 +134,8 @@ class ScanSpec:
         object.__setattr__(self, "timesteps", ts)
         if self.max_range <= 0:
             raise ValueError("max_range must be positive")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails this too
+            raise ValueError("noise_sigma must be finite and at least 0")
         if self.azimuth_count < 1 or self.elevation_count < 1:
             raise ValueError("ray grid must be non-empty")
 
@@ -225,15 +227,13 @@ def _ray_interval(prim: Primitive, origin: np.ndarray, dirs: np.ndarray, t: floa
 def raycast_scan(
     scene: SceneSpec,
     scan: ScanSpec,
-    class_features: np.ndarray | None = None,
     noise_seed: int = 0,
 ) -> PointCloud:
     """Simulate a lidar-style scan: first hit per ray within max_range.
 
-    Misses produce no record.  ``class_features``, when given as an
-    (n_classes, F) array, attaches the hit class's prototype vector to each
-    point.  Gaussian position noise of ``scan.noise_sigma`` is applied when
-    configured (seeded, isotropic).
+    Misses produce no record, and points carry no features.  Gaussian
+    position noise of ``scan.noise_sigma`` is applied when configured
+    (seeded, isotropic).
     """
     dirs = scan.directions()
     origins = scan.origins()
@@ -263,13 +263,7 @@ def raycast_scan(
     dynamic = np.zeros(len(positions), dtype=bool)
     for c in np.unique(classes):
         dynamic[classes == c] = scene.is_dynamic_class(int(c))
-    features = None
-    if class_features is not None:
-        cf = np.asarray(class_features, dtype=np.float64)
-        features = cf[classes]
-    return PointCloud(
-        positions, origins_per_point, times, classes, dynamic, features, "lidar"
-    )
+    return PointCloud(positions, origins_per_point, times, classes, dynamic)
 
 
 class VoxelVolume:

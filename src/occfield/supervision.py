@@ -46,7 +46,6 @@ class SamplingConfig:
     n_pos_per_point: int = 2
     t_min: float = -1.5
     t_max: float = 1.5
-    r_distribution: str = "uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class SamplingConfig:
             raise ValueError("per-point counts must be non-negative")
         if not (self.t_min <= 0.0 <= self.t_max):
             raise ValueError("temporal window must contain the reference time 0")
-        if self.r_distribution != "uniform":
-            raise ValueError(f"unknown r_distribution {self.r_distribution!r}")
 
 
 class QueryBatch:
@@ -73,7 +70,6 @@ class QueryBatch:
         occupancy: np.ndarray,
         classes: np.ndarray,
         features: np.ndarray | None = None,
-        source_indices: np.ndarray | None = None,
     ):
         n = len(queries)
         self.queries = np.asarray(queries, dtype=np.float64).reshape(n, 4)
@@ -88,9 +84,6 @@ class QueryBatch:
         if feats.ndim != 2 or feats.shape[0] != n:
             raise ValueError("features must have shape (n, feature_dim)")
         self.features = feats
-        if source_indices is None:
-            source_indices = np.full(n, -1, dtype=np.int64)
-        self.source_indices = np.asarray(source_indices, dtype=np.int64).reshape(n)
         neg_labeled = (self.occupancy == 0) & (self.classes != UNLABELED)
         if neg_labeled.any():
             raise ValueError("negative samples must not carry semantic targets")
@@ -105,8 +98,7 @@ class QueryBatch:
     def take(self, indices: np.ndarray) -> "QueryBatch":
         idx = np.asarray(indices)
         return QueryBatch(
-            self.queries[idx], self.occupancy[idx], self.classes[idx],
-            self.features[idx], self.source_indices[idx],
+            self.queries[idx], self.occupancy[idx], self.classes[idx], self.features[idx]
         )
 
 
@@ -127,9 +119,10 @@ def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, rng: np.random.Generator
     open, and ``n_pos_per_point`` occupied samples at p + r (p - o)/|p - o|,
     r ~ U(0, delta) open, with the point's time, class and features.  The
     uniform draws depend only on the point count, so generation commutes
-    with rigid transforms of the inputs.  r matrices are drawn up front and
-    degenerate rays (|p - o| below DEGENERATE_RAY_EPS) dropped afterwards.
-    Returns (neg_q, neg_src, pos_q, pos_src, pos_cls, pos_feat, skipped).
+    with rigid transforms of the inputs.  r matrices are drawn up front;
+    degenerate rays (|p - o| below DEGENERATE_RAY_EPS) are dropped afterwards
+    and counted in ``skipped``.  Returns (neg_q, pos_q, pos_cls, pos_feat,
+    skipped).
     """
     n = len(pc)
     d = pc.positions - pc.origins
@@ -139,30 +132,22 @@ def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, rng: np.random.Generator
     r_pos = _open_unit(rng, (n, cfg.n_pos_per_point)) * cfg.delta
 
     gi = np.flatnonzero(good)
-    neg_pts = pc.origins[gi, None, :] + r_neg[gi, :, None] * d[gi, None, :]
-    neg_q = np.concatenate(
-        [
-            neg_pts.reshape(-1, 3),
-            np.repeat(pc.times[gi], cfg.n_neg_per_point)[:, None],
-        ],
-        axis=1,
-    )
-    neg_src = np.repeat(gi, cfg.n_neg_per_point)
 
+    def timed(pts, per_point):
+        """(points, per_point, 3) positions as 4D queries at their point's time."""
+        return np.concatenate(
+            [pts.reshape(-1, 3), np.repeat(pc.times[gi], per_point)[:, None]], axis=1
+        )
+
+    neg_pts = pc.origins[gi, None, :] + r_neg[gi, :, None] * d[gi, None, :]
+    neg_q = timed(neg_pts, cfg.n_neg_per_point)
     unit = d[gi] / norms[gi, None]
     pos_pts = pc.positions[gi, None, :] + r_pos[gi, :, None] * unit[:, None, :]
-    pos_q = np.concatenate(
-        [
-            pos_pts.reshape(-1, 3),
-            np.repeat(pc.times[gi], cfg.n_pos_per_point)[:, None],
-        ],
-        axis=1,
-    )
-    pos_src = np.repeat(gi, cfg.n_pos_per_point)
+    pos_q = timed(pos_pts, cfg.n_pos_per_point)
     pos_cls = np.repeat(pc.class_ids[gi], cfg.n_pos_per_point)
     pos_feat = np.repeat(pc.features[gi], cfg.n_pos_per_point, axis=0)
     skipped = int(n - good.sum())
-    return neg_q, neg_src, pos_q, pos_src, pos_cls, pos_feat, skipped
+    return neg_q, pos_q, pos_cls, pos_feat, skipped
 
 
 def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryBatch:
@@ -181,50 +166,33 @@ def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryB
     fdim = fdims.pop()
     rng = np.random.default_rng(cfg.seed)
 
-    neg_parts, pos_parts = [], []
-    offset = 0
+    parts = []
     for pc in clouds:
         in_window = (pc.times >= cfg.t_min) & (pc.times <= cfg.t_max)
         sub = pc.take(np.flatnonzero(in_window))
-        if len(sub) == 0:
-            offset += len(pc)
-            continue
-        neg_q, neg_src, pos_q, pos_src, pos_cls, pos_feat, _ = _cloud_queries(sub, cfg, rng)
-        src_map = np.flatnonzero(in_window) + offset
-        neg_parts.append((neg_q, src_map[neg_src]))
-        pos_parts.append((pos_q, src_map[pos_src], pos_cls, pos_feat))
-        offset += len(pc)
+        if len(sub):
+            parts.append(_cloud_queries(sub, cfg, rng)[:4])
 
-    if not neg_parts and not pos_parts:
+    if not parts:
         raise EmptyBatchError("no usable points in the temporal window")
-    neg_q = np.concatenate([p[0] for p in neg_parts]) if neg_parts else np.zeros((0, 4))
-    neg_src = np.concatenate([p[1] for p in neg_parts]) if neg_parts else np.zeros(0, np.int64)
-    pos_q = np.concatenate([p[0] for p in pos_parts]) if pos_parts else np.zeros((0, 4))
-    pos_src = np.concatenate([p[1] for p in pos_parts]) if pos_parts else np.zeros(0, np.int64)
-    pos_cls = np.concatenate([p[2] for p in pos_parts]) if pos_parts else np.zeros(0, np.uint16)
-    pos_feat = (
-        np.concatenate([p[3] for p in pos_parts]) if pos_parts else np.zeros((0, fdim))
-    )
+    neg_q, pos_q, pos_cls, pos_feat = (np.concatenate(col) for col in zip(*parts))
 
     m = min(len(neg_q), len(pos_q))
     if m == 0:
         raise EmptyBatchError("balancing produced an empty batch")
     if len(neg_q) > m:
         keep = np.sort(rng.choice(len(neg_q), size=m, replace=False))
-        neg_q, neg_src = neg_q[keep], neg_src[keep]
+        neg_q = neg_q[keep]
     if len(pos_q) > m:
         keep = np.sort(rng.choice(len(pos_q), size=m, replace=False))
-        pos_q, pos_src, pos_cls, pos_feat = (
-            pos_q[keep], pos_src[keep], pos_cls[keep], pos_feat[keep]
-        )
+        pos_q, pos_cls, pos_feat = pos_q[keep], pos_cls[keep], pos_feat[keep]
 
     queries = np.concatenate([neg_q, pos_q])
     occupancy = np.concatenate([np.zeros(m, np.uint8), np.ones(m, np.uint8)])
     classes = np.concatenate([np.full(m, UNLABELED, np.uint16), pos_cls])
     features = np.concatenate([np.zeros((m, fdim)), pos_feat])
-    src = np.concatenate([neg_src, pos_src])
     perm = rng.permutation(2 * m)
-    return QueryBatch(queries[perm], occupancy[perm], classes[perm], features[perm], src[perm])
+    return QueryBatch(queries[perm], occupancy[perm], classes[perm], features[perm])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,7 +249,7 @@ def _sample_dtype(feature_dim: int) -> np.dtype:
 
 
 def write_query_batch(batch: QueryBatch, destination) -> None:
-    """QOQS format (float32 payload; provenance indices are not stored)."""
+    """QOQS format (float32 payload)."""
     rec = np.zeros(len(batch), dtype=_sample_dtype(batch.feature_dim))
     rec["query"] = batch.queries.astype("<f4")
     rec["occ"] = batch.occupancy

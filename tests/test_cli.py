@@ -80,9 +80,6 @@ y_max = 4.0
 z_min = -0.4
 z_max = 2.0
 cell_size = 0.4
-
-[geometry]
-n_bins = 8
 """
 
 PREP = ("synth", "scan", "queries")
@@ -109,7 +106,7 @@ def test_all_six_commands(tmp_path):
     expected = [
         "gt.qovx", "classes.txt", "scan_000.qopc", "scan_001.qopc", "scan_002.qopc",
         "queries.qoqs", "validation.txt", "model.qofm", "loss.csv", "metrics.csv",
-        "ray_counts.csv", "contraction_table.txt", "depth_bins.txt", "bev_mass.ppm",
+        "ray_counts.csv", "contraction_table.txt", "bev_mass.ppm",
     ]
     for name in expected:
         assert (out / name).stat().st_size > 0, name

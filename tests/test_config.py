@@ -5,6 +5,7 @@ import pytest
 from occfield.cli import EXIT_CONFIG, main
 from occfield.config import read_run_config, read_scan_file, read_scene_file
 from occfield.errors import ConfigError
+from occfield.field import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -34,6 +35,7 @@ SCAN = """\
 [scan]
 timesteps = 0.0 0.5
 max_range = 20.0
+noise_sigma = 0.0
 
 [origin]
 start = 0.1 0.0 3.0
@@ -148,7 +150,8 @@ def test_missing_key(tmp_path, kind, key):
         _read(tmp_path, kind, "\n".join(line for line in lines if not line.startswith(key + " ")))
 
 
-# (file, key, value): numbers that do not parse, or vectors of the wrong length
+# (file, key, value): numbers that do not parse, vectors of the wrong length,
+# or a scan value out of range
 MALFORMED = [
     ("run", "total_steps", "abc"),
     ("run", "total_steps", "2.5"),
@@ -163,6 +166,8 @@ MALFORMED = [
     ("scan", "timesteps", "0.0 soon"),
     ("scan", "azimuth_count", "8.5"),
     ("scan", "start", "0.1 0.0"),
+    ("scan", "noise_sigma", "-1"),
+    ("scan", "noise_sigma", "nan"),
 ]
 
 
@@ -220,7 +225,7 @@ def test_bad_value_stops_every_command_before_it_runs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-SECTION_OF = {"delta": "sampling", "d_near": "geometry"}  # any other key is in [train]
+SECTION_OF = {"delta": "sampling"}  # any other key is in [train]
 
 
 def _set_train(text, key, value):
@@ -265,8 +270,10 @@ TRAIN_OUT_OF_RANGE = [
     ("beta", "1.5"),
     ("fourier_bands", "0"),
     ("fourier_max", "inf"),
+    ("k_hr", "1e39"),  # finite, but not as the model file's float32
+    ("fourier_max", "1e39"),
+    ("beta", "0.99999999"),  # rounds to 1 in float32
     ("delta", "-1"),  # [sampling]
-    ("d_near", "-1"),  # [geometry]
 ]
 
 
@@ -279,7 +286,7 @@ def test_out_of_range_train_value_exits_2_before_any_stage(tmp_path, capsys, key
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key, value", [
+TRAIN_BOUNDARY = [
     ("total_steps", "1"),
     ("batch_size", "1"),
     ("lambda_occ", "0"),
@@ -291,7 +298,28 @@ def test_out_of_range_train_value_exits_2_before_any_stage(tmp_path, capsys, key
     ("feature_dim", "0"),
     ("warmup_steps", "0"),
     ("weight_decay", "0"),
-])
+]
+
+
+@pytest.mark.parametrize("key, value", TRAIN_BOUNDARY)
 def test_boundary_train_values_are_accepted(tmp_path, key, value):
     cfg = read_run_config(_write(tmp_path, _set_train(RUN, key, value)))
     assert getattr(cfg.train, key) == float(value)
+
+
+def _train_value(key, raw):
+    """``raw`` parsed as the type of the TrainConfig field ``key``."""
+    return type(getattr(TrainConfig(), key))(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value", [(k, v) for k, v in TRAIN_OUT_OF_RANGE if SECTION_OF.get(k, "train") == "train"]
+)
+def test_train_config_rejects_out_of_range_value(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: _train_value(key, value)})
+
+
+@pytest.mark.parametrize("key, value", TRAIN_BOUNDARY)
+def test_train_config_accepts_boundary_value(key, value):
+    assert getattr(TrainConfig(**{key: _train_value(key, value)}), key) == float(value)

@@ -258,6 +258,23 @@ class TestInference:
         # the training forward holds about 10.6 such arrays, inference 2.6
         assert peak < 4 * n * width * 8
 
+    def test_one_row_batch_gives_the_batched_bits(self):
+        # numpy multiplies a one-row matrix through a matrix-vector product,
+        # which rounds otherwise; forward_batch runs such a batch as two rows
+        rng = np.random.default_rng(19)
+        model = _randomize(
+            init_field_model(ContractionParams(10.0, 0.8), n_classes=3, feature_dim=2,
+                             grid_size=8, hidden_width=160, hidden_layers=4),
+            rng, scale=0.05,
+        )
+        q = _random_batch(rng, 64).queries
+        batched = forward_batch(model, q)
+        for i in range(len(q)):
+            single = forward_batch(model, q[i : i + 1])
+            for whole, one in zip(batched, single):
+                assert one.shape[0] == 1
+                np.testing.assert_array_equal(one, whole[i : i + 1])
+
     def test_zero_classes_rejected(self):
         with pytest.raises(ValueError, match="n_classes"):
             _small_model(n_classes=0)

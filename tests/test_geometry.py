@@ -1,14 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from occfield import (
     ContractionParams,
-    DepthBinning,
     FourierConfig,
     contract_axis,
-    depth_bin_edges,
     uncontract_axis,
 )
 from occfield import init_field_model
@@ -115,44 +111,6 @@ class TestContractQuery:
         for query in ((np.nan, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0)):
             with pytest.raises(ValueError):
                 self._encode(query)
-
-
-class TestDepthBins:
-    def test_endpoints_any_alpha(self):
-        for alpha in (0.0, 0.3, 1.0):
-            b = DepthBinning(40.0, 100.0, alpha, 16, None)
-            e = depth_bin_edges(b)
-            assert e[0] == 40.0
-            assert e[-1] == 100.0
-            assert np.all(np.diff(e) > 0)
-
-    def test_alpha_one_is_uniform(self):
-        b = DepthBinning(40.0, 100.0, 1.0, 6, None)
-        e = depth_bin_edges(b)
-        np.testing.assert_allclose(e, np.linspace(40.0, 100.0, 7), rtol=1e-12)
-
-    def test_midpoint_value_against_scalar_oracle(self):
-        # independent scalar evaluation of the log-linear blend at r = 0.5
-        r = 0.5
-        expected = (1 - 0.3) * 40.0 * math.pow(100.0 / 40.0, r) + 0.3 * (
-            40.0 + r * (100.0 - 40.0)
-        )
-        assert expected == pytest.approx(65.27188724235731, rel=1e-12)
-        b = DepthBinning(40.0, 100.0, 0.3, 10, None)
-        assert depth_bin_edges(b)[5] == pytest.approx(expected, rel=1e-12)
-
-    def test_infinity_bin(self):
-        b = DepthBinning(40.0, 100.0, 0.3, 8, 180.0)
-        e = depth_bin_edges(b)
-        assert len(e) == 10
-        assert e[-1] == 180.0
-        assert e[-2] == 100.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DepthBinning(100.0, 40.0, 0.3, 8)
-        with pytest.raises(ValueError):
-            DepthBinning(40.0, 100.0, 0.3, 8, infinity_bin_depth=90.0)
 
 
 class TestFourier:

@@ -151,18 +151,6 @@ class TestRaycast:
         assert pc.dynamic_flags[hit_box].all()
         assert not pc.dynamic_flags[~hit_box].any()
 
-    def test_class_feature_prototypes(self):
-        scene = _basic_scene()
-        scan = ScanSpec(
-            timesteps=(0.0,), origin_start=(0.0, 0.0, 1.5),
-            azimuth_count=32, elevation_count=8,
-            elevation_min=-0.9, elevation_max=0.0, max_range=50.0,
-        )
-        protos = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        pc = raycast_scan(scene, scan, class_features=protos)
-        assert pc.feature_dim == 2
-        np.testing.assert_array_equal(pc.features, protos[pc.class_ids])
-
     def test_noise_is_seeded(self):
         scene = _basic_scene()
         scan = ScanSpec(

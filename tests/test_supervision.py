@@ -42,10 +42,7 @@ def _point(p, o, t=0.0, cls=3, feat=None):
 
 def _queries(point, cfg, rng=None):
     """(negative queries, positive queries, positive classes, positive features, skipped)."""
-    neg_q, _, pos_q, _, pos_cls, pos_feat, skipped = _cloud_queries(
-        point, cfg, np.random.default_rng(cfg.seed) if rng is None else rng
-    )
-    return neg_q, pos_q, pos_cls, pos_feat, skipped
+    return _cloud_queries(point, cfg, np.random.default_rng(cfg.seed) if rng is None else rng)
 
 
 class TestNegativeQueries:
