@@ -132,7 +132,7 @@ class ScanSpec:
         if len(ts) == 0 or np.any(np.diff(ts) <= 0):
             raise ValueError("timesteps must be non-empty and strictly increasing")
         object.__setattr__(self, "timesteps", ts)
-        if self.max_range <= 0:
+        if not self.max_range > 0:  # NaN fails this too; inf means no limit
             raise ValueError("max_range must be positive")
         if not 0 <= self.noise_sigma < np.inf:  # NaN fails this too
             raise ValueError("noise_sigma must be finite and at least 0")
@@ -155,23 +155,31 @@ class ScanSpec:
         return np.asarray(self.origin_start) + t * np.asarray(self.origin_velocity)
 
 
-def _contains(prim: Primitive, pts: np.ndarray, t) -> np.ndarray:
-    """Closed-set containment test at time t (t scalar or per-point array)."""
-    t = np.asarray(t, dtype=np.float64)
-    off = t[..., None] * np.asarray(prim.velocity)
+def _contains(prim: Primitive, x, y, z, t: np.ndarray) -> np.ndarray:
+    """Closed-set containment of the points (x, y, z) at per-point times t.
+
+    Each coordinate column is tested on its own with the scalar operations of
+    the primitive's definition: for a box, c_k = center_k + t * v_k and
+    |p_k - c_k| <= size_k / 2 on every axis; for a slab, z - t * v_z within
+    [z_min, z_max]; for a cylinder, p_k - t * v_k, then the radius test in x, y
+    and the height test in z.  Points on a face are inside.
+    """
     if isinstance(prim, Box):
-        c = np.asarray(prim.center) + off
-        h = np.asarray(prim.size) / 2.0
-        return np.all(np.abs(pts - c) <= h, axis=-1)
+        in_x, in_y, in_z = (
+            np.abs(p - (c + t * v)) <= s / 2.0
+            for p, c, v, s in zip((x, y, z), prim.center, prim.velocity, prim.size)
+        )
+        return in_x & in_y & in_z
     if isinstance(prim, GroundSlab):
-        z = pts[..., 2] - off[..., 2]
-        return (z >= prim.z_min) & (z <= prim.z_max)
+        pz = z - t * prim.velocity[2]
+        return (pz >= prim.z_min) & (pz <= prim.z_max)
     if isinstance(prim, Cylinder):
-        p = pts - off
-        dx = p[..., 0] - prim.center[0]
-        dy = p[..., 1] - prim.center[1]
+        vx, vy, vz = prim.velocity
+        dx = (x - t * vx) - prim.center[0]
+        dy = (y - t * vy) - prim.center[1]
+        pz = z - t * vz
         inside_r = dx * dx + dy * dy <= prim.radius**2
-        return inside_r & (p[..., 2] >= prim.z_min) & (p[..., 2] <= prim.z_max)
+        return inside_r & (pz >= prim.z_min) & (pz <= prim.z_max)
     raise TypeError(f"unknown primitive {type(prim)}")
 
 
@@ -179,17 +187,25 @@ def oracle_query_batch(
     scene: SceneSpec, points: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact occupancy and class at 4D queries: returns (occupied bool (N,),
-    class int32 (N,), FREE where empty); the first primitive wins overlaps."""
+    class int32 (N,), FREE where empty).
+
+    Primitives are closed sets, tested in scene order, and the first one that
+    contains a query labels it.  Each primitive sees only the queries still
+    free: after it, the index, coordinates and times of the ones it took are
+    dropped.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     labels = np.full(len(pts), FREE, dtype=np.int32)
+    idx = np.arange(len(pts))
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     for prim in scene.primitives:
-        undecided = labels == FREE
-        if not undecided.any():
+        if not len(idx):
             break
-        hit = _contains(prim, pts[undecided], t[undecided])
-        idx = np.flatnonzero(undecided)[hit]
-        labels[idx] = prim.class_id
+        hit = _contains(prim, x, y, z, t)
+        labels[idx[hit]] = prim.class_id
+        free = ~hit
+        idx, x, y, z, t = idx[free], x[free], y[free], z[free], t[free]
     return labels != FREE, labels
 
 

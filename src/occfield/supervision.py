@@ -112,26 +112,34 @@ def _open_unit(rng: np.random.Generator, shape) -> np.ndarray:
     return u
 
 
-def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, rng: np.random.Generator):
-    """Free and occupied queries for every point of ``pc``.
+def _usable(pc: PointCloud) -> np.ndarray:
+    """Points whose ray |p - o| reaches DEGENERATE_RAY_EPS; the others give
+    no query."""
+    return np.linalg.norm(pc.positions - pc.origins, axis=1) >= DEGENERATE_RAY_EPS
 
-    Per point, ``n_neg_per_point`` free samples at o + r (p - o), r ~ U(0, 1)
-    open, and ``n_pos_per_point`` occupied samples at p + r (p - o)/|p - o|,
-    r ~ U(0, delta) open, with the point's time, class and features.  The
-    uniform draws depend only on the point count, so generation commutes
-    with rigid transforms of the inputs.  r matrices are drawn up front;
-    degenerate rays (|p - o| below DEGENERATE_RAY_EPS) are dropped afterwards
-    and counted in ``skipped``.  Returns (neg_q, pos_q, pos_cls, pos_feat,
-    skipped).
+
+def _draw(pc: PointCloud, cfg: SamplingConfig, rng: np.random.Generator):
+    """Uniform draws of one frame, for every point, usable or not: (r_neg,
+    r_pos).  r_neg (n, n_neg_per_point) ~ U(0, 1) open is drawn first, then
+    r_pos (n, n_pos_per_point) ~ U(0, delta) open.  The draws depend only on
+    the point count, so generation commutes with rigid transforms of the
+    inputs.
     """
-    n = len(pc)
-    d = pc.positions - pc.origins
-    norms = np.linalg.norm(d, axis=1)
-    good = norms >= DEGENERATE_RAY_EPS
-    r_neg = _open_unit(rng, (n, cfg.n_neg_per_point))
-    r_pos = _open_unit(rng, (n, cfg.n_pos_per_point)) * cfg.delta
+    r_neg = _open_unit(rng, (len(pc), cfg.n_neg_per_point))
+    r_pos = _open_unit(rng, (len(pc), cfg.n_pos_per_point))
+    r_pos *= cfg.delta
+    return r_neg, r_pos
 
-    gi = np.flatnonzero(good)
+
+def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, good, r_neg, r_pos):
+    """Free and occupied queries for the usable points of ``pc`` from its draws.
+
+    Per point, ``n_neg_per_point`` free samples at o + r (p - o) and
+    ``n_pos_per_point`` occupied samples at p + r (p - o)/|p - o|, with the
+    point's time, class and features.  Returns (neg_q, pos_q, pos_cls,
+    pos_feat).
+    """
+    gi = slice(None) if good.all() else np.flatnonzero(good)
 
     def timed(pts, per_point):
         """(points, per_point, 3) positions as 4D queries at their point's time."""
@@ -139,24 +147,56 @@ def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, rng: np.random.Generator
             [pts.reshape(-1, 3), np.repeat(pc.times[gi], per_point)[:, None]], axis=1
         )
 
-    neg_pts = pc.origins[gi, None, :] + r_neg[gi, :, None] * d[gi, None, :]
+    d = pc.positions[gi] - pc.origins[gi]
+    neg_pts = pc.origins[gi, None, :] + r_neg[gi, :, None] * d[:, None, :]
     neg_q = timed(neg_pts, cfg.n_neg_per_point)
-    unit = d[gi] / norms[gi, None]
+    unit = d / np.linalg.norm(d, axis=1)[:, None]
     pos_pts = pc.positions[gi, None, :] + r_pos[gi, :, None] * unit[:, None, :]
     pos_q = timed(pos_pts, cfg.n_pos_per_point)
     pos_cls = np.repeat(pc.class_ids[gi], cfg.n_pos_per_point)
     pos_feat = np.repeat(pc.features[gi], cfg.n_pos_per_point, axis=0)
-    skipped = int(n - good.sum())
-    return neg_q, pos_q, pos_cls, pos_feat, skipped
+    return neg_q, pos_q, pos_cls, pos_feat
+
+
+def _rows(rows: np.ndarray, n: int, keep: np.ndarray | None) -> np.ndarray:
+    """Output row of each of ``n`` generated queries; -1 where balancing
+    dropped it (``keep`` lists the sorted survivors, None keeps all)."""
+    if keep is None:
+        return rows
+    dest = np.full(n, -1, dtype=rows.dtype)
+    dest[keep] = rows
+    return dest
+
+
+def _scatter(dest: np.ndarray, pairs) -> None:
+    """out[dest] = values for each (out, values) pair, skipping dest -1.
+
+    Rows of a 2-D column move as opaque records, one copy per row rather
+    than one per element.
+    """
+    kept = dest >= 0
+    if not kept.all():
+        dest = dest[kept]
+        pairs = [(out, values[kept]) for out, values in pairs]
+    for out, values in pairs:
+        if out.ndim == 2:
+            row = np.dtype((np.void, out.shape[1] * out.itemsize))
+            out, values = out.view(row)[:, 0], np.ascontiguousarray(values).view(row)[:, 0]
+        out[dest] = values
 
 
 def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryBatch:
     """Balanced, shuffled 4D query batch from multi-frame point clouds.
 
-    Points outside [t_min, t_max] are excluded.  After per-point generation
-    (frame order, negatives then positives per frame) the larger side is
-    uniformly down-sampled to the smaller one and the batch is shuffled; all
-    randomness comes from cfg.seed.
+    Points outside [t_min, t_max] are excluded.  Generation runs in frame
+    order, negatives then positives per frame; the larger side is uniformly
+    down-sampled to the smaller one and the batch is shuffled.  All
+    randomness comes from cfg.seed, drawn in this order: every frame's
+    r_neg then r_pos, the down-sampling choice, the shuffle permutation.
+
+    The draws come first, so each query's final row is known before its
+    geometry is computed: the batch's columns are allocated once, and every
+    frame writes each of its queries once, straight into its final row.
     """
     if not clouds:
         raise EmptyBatchError("no point clouds given")
@@ -166,33 +206,49 @@ def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryB
     fdim = fdims.pop()
     rng = np.random.default_rng(cfg.seed)
 
-    parts = []
+    frames = []
     for pc in clouds:
         in_window = (pc.times >= cfg.t_min) & (pc.times <= cfg.t_max)
-        sub = pc.take(np.flatnonzero(in_window))
-        if len(sub):
-            parts.append(_cloud_queries(sub, cfg, rng)[:4])
-
-    if not parts:
+        if not in_window.all():
+            pc = pc.take(np.flatnonzero(in_window))
+        if len(pc):
+            frames.append((pc, _usable(pc)))
+    if not frames:
         raise EmptyBatchError("no usable points in the temporal window")
-    neg_q, pos_q, pos_cls, pos_feat = (np.concatenate(col) for col in zip(*parts))
-
-    m = min(len(neg_q), len(pos_q))
+    usable = sum(int(np.count_nonzero(good)) for _, good in frames)
+    n_neg, n_pos = usable * cfg.n_neg_per_point, usable * cfg.n_pos_per_point
+    m = min(n_neg, n_pos)
     if m == 0:
         raise EmptyBatchError("balancing produced an empty batch")
-    if len(neg_q) > m:
-        keep = np.sort(rng.choice(len(neg_q), size=m, replace=False))
-        neg_q = neg_q[keep]
-    if len(pos_q) > m:
-        keep = np.sort(rng.choice(len(pos_q), size=m, replace=False))
-        pos_q, pos_cls, pos_feat = pos_q[keep], pos_cls[keep], pos_feat[keep]
 
-    queries = np.concatenate([neg_q, pos_q])
-    occupancy = np.concatenate([np.zeros(m, np.uint8), np.ones(m, np.uint8)])
-    classes = np.concatenate([np.full(m, UNLABELED, np.uint16), pos_cls])
-    features = np.concatenate([np.zeros((m, fdim)), pos_feat])
+    # the columns are allocated before the draws and the per-frame
+    # temporaries, so none of those is left below them in the heap
+    queries = np.empty((2 * m, 4))
+    occupancy = np.empty(2 * m, np.uint8)
+    classes = np.full(2 * m, UNLABELED, np.uint16)
+    features = np.zeros((2 * m, fdim))
+    draws = [_draw(pc, cfg, rng) for pc, _ in frames]
+    keep_neg = np.sort(rng.choice(n_neg, size=m, replace=False)) if n_neg > m else None
+    keep_pos = np.sort(rng.choice(n_pos, size=m, replace=False)) if n_pos > m else None
+    # stacked query j (kept negatives, then kept positives) is output row
+    # rows[j], where the shuffle perm put it
     perm = rng.permutation(2 * m)
-    return QueryBatch(queries[perm], occupancy[perm], classes[perm], features[perm])
+    rows = np.empty_like(perm)
+    rows[perm] = np.arange(2 * m)
+    np.greater_equal(perm, m, out=occupancy.view(bool))
+    del perm
+    neg_rows = _rows(rows[:m], n_neg, keep_neg)
+    pos_rows = _rows(rows[m:], n_pos, keep_pos)
+
+    i_neg = i_pos = 0
+    for (pc, good), (r_neg, r_pos) in zip(frames, draws):
+        neg_q, pos_q, pos_cls, pos_feat = _cloud_queries(pc, cfg, good, r_neg, r_pos)
+        _scatter(neg_rows[i_neg:i_neg + len(neg_q)], [(queries, neg_q)])
+        pairs = [(queries, pos_q), (classes, pos_cls)] + ([(features, pos_feat)] if fdim else [])
+        _scatter(pos_rows[i_pos:i_pos + len(pos_q)], pairs)
+        i_neg += len(neg_q)
+        i_pos += len(pos_q)
+    return QueryBatch(queries, occupancy, classes, features)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -163,6 +163,7 @@ MALFORMED = [
     ("scene", "center", "2.0 0.8"),
     ("scene", "radius", "wide"),
     ("scan", "max_range", "far"),
+    ("scan", "max_range", "nan"),
     ("scan", "timesteps", "0.0 soon"),
     ("scan", "azimuth_count", "8.5"),
     ("scan", "start", "0.1 0.0"),

@@ -69,6 +69,91 @@ class TestOracle:
         assert _oracle(scene, 0.0, 8.0, 3.5, 0.0) == (False, None)
 
 
+def _reference_contains(prim, pts, t):
+    """Row-wise containment on (N, 3) points, as the oracle computed it before
+    it tested one axis at a time over the points still free."""
+    t = np.asarray(t, dtype=np.float64)
+    off = t[..., None] * np.asarray(prim.velocity)
+    if isinstance(prim, Box):
+        c = np.asarray(prim.center) + off
+        h = np.asarray(prim.size) / 2.0
+        return np.all(np.abs(pts - c) <= h, axis=-1)
+    if isinstance(prim, GroundSlab):
+        z = pts[..., 2] - off[..., 2]
+        return (z >= prim.z_min) & (z <= prim.z_max)
+    p = pts - off
+    dx = p[..., 0] - prim.center[0]
+    dy = p[..., 1] - prim.center[1]
+    inside_r = dx * dx + dy * dy <= prim.radius**2
+    return inside_r & (p[..., 2] >= prim.z_min) & (p[..., 2] <= prim.z_max)
+
+
+def _reference_oracle(scene, points, times):
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    t = np.asarray(times, dtype=np.float64).reshape(-1)
+    labels = np.full(len(pts), FREE, dtype=np.int32)
+    for prim in scene.primitives:
+        undecided = labels == FREE
+        if not undecided.any():
+            break
+        hit = _reference_contains(prim, pts[undecided], t[undecided])
+        labels[np.flatnonzero(undecided)[hit]] = prim.class_id
+    return labels != FREE, labels
+
+
+class TestOracleMatchesReference:
+    """Every parameter is a multiple of 1/8 and every velocity of 1/8, so
+    lattice queries at multiples of 1/8 m and 1/4 s land exactly on faces,
+    edges and the cylinder's rim, where the closed sets decide."""
+
+    SCENE = SceneSpec(
+        (
+            GroundSlab(-0.5, 0.0, 0, velocity=(0.0, 0.0, 0.125)),
+            Box((2.0, 0.0, 1.0), (2.0, 2.0, 2.0), 1),
+            Box((2.5, 0.5, 1.0), (2.0, 2.0, 2.0), 2),  # overlaps the box before it
+            Box((-3.0, 2.0, 0.75), (1.5, 1.0, 1.5), 3, velocity=(0.5, -0.25, 0.0)),
+            Cylinder((0.0, -3.0), 1.25, 0.0, 2.5, 4, velocity=(-0.5, 0.25, 0.125)),
+        ),
+        20.0,
+    )
+
+    def _queries(self):
+        rng = np.random.default_rng(12)
+        n = 50_000
+        smooth = np.column_stack([rng.uniform(-6, 6, (n, 2)), rng.uniform(-1, 3, n)])
+        lattice = np.column_stack([rng.integers(-48, 49, (n, 2)), rng.integers(-8, 25, n)]) / 8.0
+        times = np.concatenate([rng.uniform(-2, 2, n), rng.integers(-8, 9, n) / 4.0])
+        return np.concatenate([smooth, lattice]), times
+
+    def test_labels_bitwise_equal(self):
+        pts, times = self._queries()
+        occ, labels = oracle_query_batch(self.SCENE, pts, times)
+        ref_occ, ref_labels = _reference_oracle(self.SCENE, pts, times)
+        assert labels.dtype == ref_labels.dtype and occ.dtype == ref_occ.dtype
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(occ, ref_occ)
+        assert set(np.unique(labels)) == {FREE, 0, 1, 2, 3, 4}
+
+    def test_faces_are_inside(self):
+        # faces of the static box, the overlapping box, the moving box at
+        # t = 0.5 (center (-2.75, 1.875)), the moving cylinder's rim at t = 1
+        # (center (-0.5, -2.75), top at 2.625) and the slab's top at t = -2
+        pts = [
+            (1.0, 0.0, 1.0), (3.0, 1.0, 2.0), (3.5, 1.5, 2.0),
+            (-2.0, 2.375, 1.5), (0.75, -2.75, 2.625), (-1.25, -1.75, 1.0),
+            (4.0, 4.0, -0.25),
+        ]
+        t = [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, -2.0]
+        _, labels = oracle_query_batch(self.SCENE, np.array(pts), np.array(t))
+        assert labels.tolist() == [1, 1, 2, 3, 4, 4, 0]
+        np.testing.assert_array_equal(labels, _reference_oracle(self.SCENE, pts, t)[1])
+
+    def test_empty_input(self):
+        occ, labels = oracle_query_batch(self.SCENE, np.zeros((0, 3)), np.zeros(0))
+        assert occ.shape == labels.shape == (0,)
+        assert occ.dtype == bool and labels.dtype == np.int32
+
+
 class TestRaycast:
     def test_box_face_distance(self):
         scene = SceneSpec((Box((10.0, 0.0, 1.0), (2.0, 2.0, 2.0), 0),), 30.0)
@@ -81,6 +166,20 @@ class TestRaycast:
         pc = raycast_scan(scene, scan)
         assert len(pc) == 1
         np.testing.assert_allclose(pc.positions[0], [9.0, 0.0, 1.0], atol=1e-12)
+
+    def test_infinite_max_range_means_no_limit(self):
+        scene = SceneSpec((Box((100.0, 0.0, 1.0), (2.0, 2.0, 2.0), 0),), 200.0)
+        ray = dict(
+            timesteps=(0.0,), origin_start=(0.0, 0.0, 1.0),
+            azimuth_count=1, elevation_count=1,
+            elevation_min=0.0, elevation_max=0.0,
+            azimuth_min=0.0, azimuth_max=2 * np.pi,
+        )
+        pc = raycast_scan(scene, ScanSpec(**ray, max_range=np.inf))
+        np.testing.assert_allclose(pc.positions, [[99.0, 0.0, 1.0]], atol=1e-12)
+        for bad in (np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="max_range"):
+                ScanSpec(**ray, max_range=bad)
 
     def test_sky_miss_produces_no_record(self):
         scene = _basic_scene()

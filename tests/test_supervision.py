@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from occfield import (
     write_query_batch,
 )
 from occfield.errors import EmptyBatchError, FeatureDimMismatchError
-from occfield.supervision import _cloud_queries
+from occfield.supervision import DEGENERATE_RAY_EPS, _cloud_queries, _draw, _open_unit, _usable
 
 
 class _FixedRng:
@@ -41,8 +42,10 @@ def _point(p, o, t=0.0, cls=3, feat=None):
 
 
 def _queries(point, cfg, rng=None):
-    """(negative queries, positive queries, positive classes, positive features, skipped)."""
-    return _cloud_queries(point, cfg, np.random.default_rng(cfg.seed) if rng is None else rng)
+    """(negative queries, positive queries, positive classes, positive features)
+    of one cloud, drawn and generated as build_query_set does for a frame."""
+    draws = _draw(point, cfg, np.random.default_rng(cfg.seed) if rng is None else rng)
+    return _cloud_queries(point, cfg, _usable(point), *draws)
 
 
 class TestNegativeQueries:
@@ -67,8 +70,10 @@ class TestNegativeQueries:
     def test_degenerate_ray_skipped(self):
         cfg = SamplingConfig(n_neg_per_point=2, seed=0)
         point = _point([1.0, 0.0, 0.0], [1.0, 0.0, 1e-8])
-        neg_q, pos_q, _, _, skipped = _queries(point, cfg)
-        assert len(neg_q) == len(pos_q) == 0 and skipped == 1
+        neg_q, pos_q, _, _ = _queries(point, cfg)
+        assert len(neg_q) == len(pos_q) == 0 and not _usable(point).any()
+        # its draws are still made, so later frames see the same stream
+        assert _draw(point, cfg, np.random.default_rng(0))[0].shape == (1, 2)
 
 
 class TestPositiveQueries:
@@ -76,7 +81,7 @@ class TestPositiveQueries:
         cfg = SamplingConfig(delta=0.4, n_pos_per_point=1, seed=0)
         point = _point([10.0, 0.0, 0.0], [0.0, 0.0, 0.0], t=0.5, cls=7,
                        feat=np.array([1.0, 2.0]))
-        _, pos_q, pos_cls, pos_feat, _ = _queries(point, cfg, rng=_FixedRng(0.5))  # r = 0.2
+        _, pos_q, pos_cls, pos_feat = _queries(point, cfg, rng=_FixedRng(0.5))  # r = 0.2
         assert len(pos_q) == 1
         assert pos_q[0, 0] == pytest.approx(10.2, abs=1e-12)
         assert tuple(pos_q[0, 1:]) == (0.0, 0.0, 0.5)
@@ -183,6 +188,112 @@ class TestBuildQuerySet:
         clouds = [_grid_cloud(rng, 10, 0.0, feat_dim=1), _grid_cloud(rng, 10, 0.0, feat_dim=2)]
         with pytest.raises(FeatureDimMismatchError):
             build_query_set(clouds, SamplingConfig(seed=0))
+
+
+def _reference_build(clouds, cfg):
+    """The query build before it wrote each query straight into its row:
+    per-frame parts, concatenated, balanced by copies, then permuted."""
+    fdim = clouds[0].feature_dim
+    rng = np.random.default_rng(cfg.seed)
+    parts = []
+    for pc in clouds:
+        pc = pc.take(np.flatnonzero((pc.times >= cfg.t_min) & (pc.times <= cfg.t_max)))
+        if not len(pc):
+            continue
+        n = len(pc)
+        d = pc.positions - pc.origins
+        norms = np.linalg.norm(d, axis=1)
+        gi = np.flatnonzero(norms >= DEGENERATE_RAY_EPS)
+        r_neg = _open_unit(rng, (n, cfg.n_neg_per_point))
+        r_pos = _open_unit(rng, (n, cfg.n_pos_per_point)) * cfg.delta
+        times = pc.times[gi]
+
+        def timed(pts, k):
+            return np.concatenate([pts.reshape(-1, 3), np.repeat(times, k)[:, None]], axis=1)
+
+        neg = pc.origins[gi, None, :] + r_neg[gi, :, None] * d[gi, None, :]
+        unit = d[gi] / norms[gi, None]
+        pos = pc.positions[gi, None, :] + r_pos[gi, :, None] * unit[:, None, :]
+        parts.append((
+            timed(neg, cfg.n_neg_per_point),
+            timed(pos, cfg.n_pos_per_point),
+            np.repeat(pc.class_ids[gi], cfg.n_pos_per_point),
+            np.repeat(pc.features[gi], cfg.n_pos_per_point, axis=0),
+        ))
+    neg_q, pos_q, pos_cls, pos_feat = (np.concatenate(col) for col in zip(*parts))
+    m = min(len(neg_q), len(pos_q))
+    if len(neg_q) > m:
+        neg_q = neg_q[np.sort(rng.choice(len(neg_q), size=m, replace=False))]
+    if len(pos_q) > m:
+        keep = np.sort(rng.choice(len(pos_q), size=m, replace=False))
+        pos_q, pos_cls, pos_feat = pos_q[keep], pos_cls[keep], pos_feat[keep]
+    perm = rng.permutation(2 * m)
+    return QueryBatch(
+        np.concatenate([neg_q, pos_q])[perm],
+        np.concatenate([np.zeros(m, np.uint8), np.ones(m, np.uint8)])[perm],
+        np.concatenate([np.full(m, UNLABELED, np.uint16), pos_cls])[perm],
+        np.concatenate([np.zeros((m, fdim)), pos_feat])[perm],
+    )
+
+
+def _mixed_clouds(feat_dim=0):
+    """Three frames: one with a degenerate ray and points outside [-1, 1] s,
+    one entirely outside it, and one with several classes."""
+    rng = np.random.default_rng(8)
+    a = _grid_cloud(rng, 400, 0.0, feat_dim=feat_dim)
+    times = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], 400)
+    positions = a.positions.copy()
+    positions[17], times[17] = a.origins[17], 0.0
+    a = PointCloud(positions, a.origins, times, a.class_ids, a.dynamic_flags, a.features)
+    b = _grid_cloud(rng, 300, 3.0, feat_dim=feat_dim)
+    c = _grid_cloud(rng, 500, 0.5, feat_dim=feat_dim)
+    c = PointCloud(c.positions, c.origins, c.times, rng.integers(0, 5, 500), c.dynamic_flags,
+                   c.features)
+    return [a, b, c]
+
+
+def _batch_bytes(batch):
+    columns = (batch.queries, batch.occupancy, batch.classes, batch.features)
+    return sum(col.nbytes for col in columns)
+
+
+class TestBuildMatchesReference:
+    @pytest.mark.parametrize("counts", [(2, 2), (2, 3), (3, 2), (1, 4)])
+    @pytest.mark.parametrize("feat_dim", [0, 3])
+    def test_columns_bitwise_equal(self, counts, feat_dim):
+        cfg = SamplingConfig(n_neg_per_point=counts[0], n_pos_per_point=counts[1],
+                             t_min=-1.0, t_max=1.0, seed=4)
+        clouds = _mixed_clouds(feat_dim)
+        got, ref = build_query_set(clouds, cfg), _reference_build(clouds, cfg)
+        for name in ("queries", "occupancy", "classes", "features"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_balanced_whole_window_build(self):
+        rng = np.random.default_rng(9)
+        clouds = [_grid_cloud(rng, 700, t) for t in (-1.0, 0.0, 1.0)]
+        cfg = SamplingConfig(seed=2)
+        got, ref = build_query_set(clouds, cfg), _reference_build(clouds, cfg)
+        assert got.queries.tobytes() == ref.queries.tobytes()
+        assert got.occupancy.tobytes() == ref.occupancy.tobytes()
+        assert got.classes.tobytes() == ref.classes.tobytes()
+
+    def test_peak_memory_below_three_batches(self):
+        # the per-frame parts, the stacked columns and the permuted columns
+        # were alive together at 4.2 batches; each row written once stays near 2
+        rng = np.random.default_rng(10)
+        clouds = [_grid_cloud(rng, 10_000, t) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        cfg = SamplingConfig(seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch = build_query_set(clouds, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 200_000
+        assert peak < 3 * _batch_bytes(batch), peak / _batch_bytes(batch)
 
 
 class TestOracleValidation:
