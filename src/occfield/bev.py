@@ -1,17 +1,18 @@
-"""Deterministic contract-and-splat onto a bird's-eye-view grid.
+"""Bird's-eye-view grids that are uniform in contracted x/y space.
 
-Points become weighted features; their x/y coordinates are contracted and
-the weighted features scatter-added bilinearly into a grid that is uniform
-in contracted space.  The last grid channel always accumulates raw point
-weight (mass), so total grid mass equals total point weight.
+``bilinear_setup`` contracts metric x/y and gives each point its four
+surrounding cells and their bilinear weights.  The field model gathers its
+grid features through it; ``splat_pointcloud`` scatters point mass through it
+onto a one-channel grid, so the grid's total mass equals the point count,
+and ``grid_to_ppm`` images that grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ContractionParams, FourierConfig, contract_axis, fourier_encode_batch
-from .pointcloud import UNLABELED, PointCloud
+from .geometry import ContractionParams, contract_axis
+from .pointcloud import PointCloud
 
 __all__ = [
     "BevGrid",
@@ -25,8 +26,7 @@ class BevGrid:
     """Feature grid over contracted space [-1, 1]^2.
 
     ``data[iy, ix, c]`` covers a uniform tile of contracted space; cell
-    centers sit at contracted coordinates (2*(i+0.5)/size - 1).  The last
-    channel is reserved for mass bookkeeping by the splat operations.
+    centers sit at contracted coordinates (2*(i+0.5)/size - 1).
     """
 
     def __init__(
@@ -85,33 +85,21 @@ def bilinear_setup(
     return iy, ix, w
 
 
-def splat_pointcloud(
-    pc: PointCloud, grid: BevGrid, encoding: FourierConfig, n_classes: int
-) -> BevGrid:
-    """Splat raw points with weight 1 into a new grid.
+def splat_pointcloud(pc: PointCloud, grid: BevGrid) -> BevGrid:
+    """Splat raw points with weight 1 into a copy of a one-channel (mass) grid.
 
-    Each point adds fourier(z, t) + one-hot class to the feature channels and
-    1 to the mass channel of its four surrounding cells, bilinearly in
-    contracted space.  Unlabeled points get an all-zero class block.  Grid
-    channels must equal 4*n_bands + n_classes + 1 (mass).
+    Each point adds its four bilinear weights, in contracted space, to the
+    mass of its four surrounding cells.
     """
-    if grid.channels != encoding.output_dim(2) + n_classes + 1:
-        raise ValueError(
-            f"grid channels {grid.channels} != 4*n_bands + n_classes + 1 (mass)"
-        )
+    if grid.channels != 1:
+        raise ValueError(f"grid channels {grid.channels} != 1 (mass)")
     out = grid.copy()
     if len(pc) == 0:
         return out
-    enc = fourier_encode_batch(
-        np.stack([pc.positions[:, 2], pc.times], axis=1), encoding
-    )
-    onehot = np.zeros((len(pc), n_classes))
-    labeled = pc.class_ids != UNLABELED
-    onehot[np.flatnonzero(labeled), pc.class_ids[labeled].astype(int)] = 1.0
-    payload = np.concatenate([enc, onehot, np.ones((len(pc), 1))], axis=1)
     iy, ix, w = bilinear_setup(pc.positions[:, 0], pc.positions[:, 1], grid)
+    mass = out.data[:, :, 0]
     for k in range(4):
-        np.add.at(out.data, (iy[:, k], ix[:, k]), w[:, k, None] * payload)
+        np.add.at(mass, (iy[:, k], ix[:, k]), w[:, k])
     return out
 
 

@@ -105,7 +105,6 @@ def _init_model(cfg: RunConfig, seed: int, n_classes: int) -> field.FieldModel:
     return field.init_field_model(
         contraction=ts.contraction(),
         n_classes=n_classes,
-        feature_dim=ts.feature_dim,
         grid_size=ts.grid_size,
         grid_channels=ts.grid_channels,
         fourier=ts.fourier(),
@@ -186,13 +185,7 @@ def cmd_inspect_geometry(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
     scan = read_scan_file(cfg.scan_path)
     cloud = raycast_scan(scene, scan, noise_seed=seed)
-    fourier = ts.fourier()
-    grid = bev.BevGrid(
-        ts.grid_size, ts.grid_size,
-        2 * fourier.output_dim(1) + scene.n_classes + 1,
-        contraction,
-    )
-    grid = bev.splat_pointcloud(cloud, grid, fourier, scene.n_classes)
+    grid = bev.splat_pointcloud(cloud, bev.BevGrid(ts.grid_size, ts.grid_size, 1, contraction))
     _atomic_write(
         cfg.output_dir / "bev_mass.ppm", lambda f: f.write(bev.grid_to_ppm(grid))
     )

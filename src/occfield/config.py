@@ -97,7 +97,11 @@ def read_scene_file(path) -> SceneSpec:
             v = _values(path, section, items, _SCENE_KEYS)
             bounds = v.get("bounds", bounds)
             if "classes" in v:
-                classes = read_class_table(path.parent / v["classes"])
+                class_path = path.parent / v["classes"]
+                try:
+                    classes = read_class_table(class_path)
+                except ValueError as e:
+                    raise ConfigError(f"{class_path}: {e}") from None
         elif section.startswith("slab:"):
             v = _values(path, section, items, _SLAB_KEYS, ("class", "z_min", "z_max"))
             primitives.append(GroundSlab(

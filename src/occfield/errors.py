@@ -17,10 +17,6 @@ class TruncatedFileError(FormatError):
     pass
 
 
-class FeatureDimMismatchError(FormatError):
-    pass
-
-
 class EmptyBatchError(ValueError):
     """A query batch ended up with no usable samples."""
 

@@ -1,8 +1,7 @@
 """Trainable implicit occupancy field.
 
 A learnable feature grid over contracted BEV space feeds a small MLP head
-that predicts an occupancy logit, semantic logits, and optionally a feature
-vector for any 4D query.  Gradients are computed analytically (closed-form
+that predicts an occupancy logit and semantic logits for any 4D query.  Gradients are computed analytically (closed-form
 backprop, including the bilinear scatter back into the grid) and verified
 against finite differences in the test suite.  Training uses Adam moments
 with decoupled weight decay, linear warmup, and cosine decay.  Inference
@@ -21,23 +20,19 @@ sorted samples because no row depends on the others in its batch.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import struct
 from typing import Sequence
 
 import numpy as np
 
+from . import _format
 from .bev import BevGrid, bilinear_setup
-from .errors import (
-    BadMagicError,
-    EmptyBatchError,
-    FormatVersionError,
-    TrainingDivergedError,
-    TruncatedFileError,
-)
+from .errors import EmptyBatchError, TrainingDivergedError
 from .geometry import ContractionParams, FourierConfig, fourier_encode_batch
 from .pointcloud import UNLABELED, PointCloud
 from .supervision import QueryBatch
-from ._util import read_bytes, write_bytes
 
 __all__ = [
     "FieldModel",
@@ -105,8 +100,8 @@ class FieldModel:
     """Learnable contracted-BEV grid plus MLP decoder.
 
     The decoder input is the bilinearly interpolated grid feature
-    concatenated with fourier(z) and fourier(t); heads are one linear layer
-    split into [occupancy logit | semantic logits | feature vector].
+    concatenated with fourier(z) and fourier(t); the head is one linear
+    layer split into [occupancy logit | semantic logits].
     """
 
     def __init__(
@@ -115,7 +110,6 @@ class FieldModel:
         layers: list[tuple[np.ndarray, np.ndarray]],
         fourier: FourierConfig,
         n_classes: int,
-        feature_dim: int,
     ):
         if n_classes < 1:
             raise ValueError(f"n_classes must be at least 1, got {n_classes}")
@@ -123,13 +117,12 @@ class FieldModel:
         self.layers = layers
         self.fourier = fourier
         self.n_classes = int(n_classes)
-        self.feature_dim = int(feature_dim)
         in_dim = grid.channels + 2 * fourier.output_dim(1)
         dims = [in_dim] + [w.shape[1] for w, _ in layers]
         for i, (w, b) in enumerate(layers):
             if w.shape[0] != dims[i] or b.shape != (w.shape[1],):
                 raise ValueError("layer dimensions do not chain")
-        if dims[-1] != 1 + n_classes + feature_dim:
+        if dims[-1] != 1 + n_classes:
             raise ValueError("head layout does not match final layer width")
 
     @property
@@ -150,7 +143,6 @@ class FieldModel:
 def init_field_model(
     contraction: ContractionParams,
     n_classes: int,
-    feature_dim: int = 0,
     grid_size: int = 128,
     grid_channels: int = 16,
     fourier: FourierConfig = FourierConfig(),
@@ -162,7 +154,7 @@ def init_field_model(
     rng = np.random.default_rng(seed)
     grid = BevGrid(grid_size, grid_size, grid_channels, contraction)
     in_dim = grid.channels + 4 * fourier.n_bands
-    out_dim = 1 + n_classes + feature_dim
+    out_dim = 1 + n_classes
     sizes = [in_dim] + [hidden_width] * hidden_layers + [out_dim]
     layers = []
     for i in range(len(sizes) - 1):
@@ -172,7 +164,7 @@ def init_field_model(
         else:
             w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
         layers.append((w, np.zeros(fan_out)))
-    return FieldModel(grid, layers, fourier, n_classes, feature_dim)
+    return FieldModel(grid, layers, fourier, n_classes)
 
 
 def log_frequency_weights(frequencies: np.ndarray) -> np.ndarray:
@@ -232,13 +224,13 @@ class _Workspace:
 def _cached_rows(model: FieldModel, work: _Workspace, start: int, n: int):
     """Head outputs and backprop cache held in rows [start, start + n) of ``work``."""
     rows = {key: buf[start : start + n] for key, buf in work.slots.items()}
-    out, c, depth = rows["out"], model.n_classes, len(model.layers)
+    out, depth = rows["out"], len(model.layers)
     cache = (
         rows["iy"], rows["ix"], rows["bw"],
         [rows[("act", i)] for i in range(depth)],
         [rows[("deriv", i)] for i in range(depth - 1)],
     )
-    return out[:, 0], out[:, 1 : 1 + c], out[:, 1 + c :], cache
+    return out[:, 0], out[:, 1:], cache
 
 
 def _forward_raw(model: FieldModel, queries: np.ndarray, work=None, start: int = 0):
@@ -280,7 +272,7 @@ class Gradients:
 
 
 def _backward_from_output_grads(
-    model: FieldModel, cache, d_occ_logit, d_sem_logits, d_feat, grid_grad=None
+    model: FieldModel, cache, d_occ_logit, d_sem_logits, grid_grad=None
 ) -> Gradients:
     """Backpropagate given gradients w.r.t. the raw head outputs; the grid
     gradient goes into ``grid_grad``, zeroed first, when one is given.
@@ -289,11 +281,8 @@ def _backward_from_output_grads(
     activations once they have served its weight gradient, so the backward
     allocates no activation-sized array."""
     iy, ix, bw, acts, derivs = cache
-    d_out = np.concatenate(
-        [np.asarray(d_occ_logit)[:, None], d_sem_logits, d_feat], axis=1
-    )
+    d = np.concatenate([np.asarray(d_occ_logit)[:, None], d_sem_logits], axis=1)
     grads: list[tuple[np.ndarray, np.ndarray]] = []
-    d = d_out
     for li in range(len(model.layers) - 1, -1, -1):
         w, _ = model.layers[li]
         grads.append((acts[li].T @ d, d.sum(axis=0)))
@@ -311,10 +300,8 @@ def _backward_from_output_grads(
     return Gradients(grid_grad, grads)
 
 
-def forward_batch(
-    model: FieldModel, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized inference: (occ_prob (N,), semantic_probs (N,S), feature (N,F)).
+def forward_batch(model: FieldModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized inference: (occ_prob (N,), semantic_probs (N,S)).
     Keeps no backprop cache: two buffers serve every hidden layer, and squareplus
     runs in place through ``_squareplus``, so outputs equal training's bit for bit.
     A one-row batch runs as two copies of its row, so that numpy multiplies it
@@ -328,8 +315,7 @@ def forward_batch(
         h = _squareplus(a, b, h if h.shape == a.shape else np.empty_like(a), deriv=False)
     w, b = model.layers[-1]
     out = (h @ w + b)[:rows]
-    n = model.n_classes
-    return _sigmoid(out[:, 0]), _softmax(out[:, 1 : 1 + n]), out[:, 1 + n :]
+    return _sigmoid(out[:, 0]), _softmax(out[:, 1:])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -339,7 +325,6 @@ class TrainConfig:
 
     lambda_occ: float = 1.0
     lambda_sem: float = 0.5
-    lambda_vfm: float = 0.5
     mode: str = "query"  # or "rendering"
     learning_rate: float = 1e-3
     warmup_steps: int = 200
@@ -355,7 +340,6 @@ class TrainConfig:
     fourier_bands: int = 16
     fourier_min: float = 1.0
     fourier_max: float = 10.0
-    feature_dim: int = 0
     # rendering-supervision knobs (used by train_rendering_baseline only)
     render_near: float = 0.5
     render_far: float = 60.0
@@ -369,16 +353,16 @@ class TrainConfig:
             (self.mode in ("query", "rendering"), "mode must be 'query' or 'rendering'"),
             (min(self.total_steps, self.batch_size) >= 1,
              "total_steps and batch_size must be at least 1"),
-            (all(lam >= 0 for lam in (self.lambda_occ, self.lambda_sem, self.lambda_vfm)),
-             "lambda_occ, lambda_sem and lambda_vfm must be non-negative"),
+            (self.lambda_occ >= 0 and self.lambda_sem >= 0,  # NaN fails this too
+             "lambda_occ and lambda_sem must be non-negative"),
             (0 < self.render_near < self.render_far < np.inf,  # NaN fails this too
              "needs 0 < render_near < render_far, both finite"),
             (self.render_coarse >= 1 and self.render_importance >= 0,
              "render_coarse must be at least 1 and render_importance at least 0"),
             (min(self.hidden_width, self.grid_channels) >= 1 and self.grid_size >= 2,
              "hidden_width and grid_channels must be at least 1 and grid_size at least 2"),
-            (min(self.hidden_layers, self.feature_dim, self.warmup_steps) >= 0,
-             "hidden_layers, feature_dim and warmup_steps must be at least 0"),
+            (min(self.hidden_layers, self.warmup_steps) >= 0,
+             "hidden_layers and warmup_steps must be at least 0"),
             (0 < self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf,
              "needs a finite learning_rate above 0 and a finite weight_decay of at least 0"),
         ):
@@ -410,10 +394,8 @@ class LossReport:
     total: float
     occ: float
     sem: float
-    vfm: float
     n_occ: int = 0
     n_sem: int = 0
-    n_vfm: int = 0
 
 
 def _class_weights(model: FieldModel, cfg: TrainConfig) -> np.ndarray:
@@ -432,8 +414,7 @@ def _loss_terms(model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=
     q = batch.queries[idx]
     occ_t = batch.occupancy[idx].astype(np.float64)
     cls_t = batch.classes[idx]
-    feat_t = batch.features[idx]
-    occ_logit, sem_logits, feat, cache = _forward_raw(model, q, work)
+    occ_logit, sem_logits, cache = _forward_raw(model, q, work)
     n = len(idx)
 
     # occupancy: binary cross-entropy with logits, averaged over every sample
@@ -458,27 +439,13 @@ def _loss_terms(model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=
         sm[np.arange(n_sem), c] -= 1.0
         d_sem[sem_mask] = sm * wi[:, None] * (cfg.lambda_sem / n_sem)
 
-    # feature distillation: per-sample mean absolute error over positives
-    vfm_mask = (batch.occupancy[idx] == 1) & (model.feature_dim > 0) & (batch.feature_dim > 0)
-    n_vfm = int(vfm_mask.sum())
-    d_feat = np.zeros_like(feat)
-    l_vfm = 0.0
-    if n_vfm and batch.feature_dim != model.feature_dim:
-        raise ValueError(
-            f"batch feature_dim {batch.feature_dim} != model feature_dim {model.feature_dim}"
-        )
-    if n_vfm:
-        diff = feat[vfm_mask] - feat_t[vfm_mask]
-        l_vfm = float(np.mean(np.abs(diff)))
-        d_feat[vfm_mask] = np.sign(diff) * (cfg.lambda_vfm / (n_vfm * model.feature_dim))
-
-    total = cfg.lambda_occ * l_occ + cfg.lambda_sem * l_sem + cfg.lambda_vfm * l_vfm
-    report = LossReport(total, l_occ, l_sem, l_vfm, n, n_sem, n_vfm)
-    return report, cache, d_occ, d_sem, d_feat
+    total = cfg.lambda_occ * l_occ + cfg.lambda_sem * l_sem
+    report = LossReport(total, l_occ, l_sem, n, n_sem)
+    return report, cache, d_occ, d_sem
 
 
 def loss(model: FieldModel, batch: QueryBatch, cfg: TrainConfig) -> LossReport:
-    """Weighted multi-task loss: total = l_occ*occ + l_sem*sem + l_vfm*vfm."""
+    """Weighted multi-task loss: total = lambda_occ * occ + lambda_sem * sem."""
     report, *_ = _loss_terms(model, batch, cfg)
     return report
 
@@ -493,8 +460,8 @@ def backward(
     zero gradient.  A given ``grid_grad`` array receives the grid gradient,
     and a given ``_Workspace`` holds the forward pass's cache.
     """
-    report, cache, d_occ, d_sem, d_feat = _loss_terms(model, batch, cfg, indices, work)
-    return _backward_from_output_grads(model, cache, d_occ, d_sem, d_feat, grid_grad), report
+    report, cache, d_occ, d_sem = _loss_terms(model, batch, cfg, indices, work)
+    return _backward_from_output_grads(model, cache, d_occ, d_sem, grid_grad), report
 
 
 class _AdamW:
@@ -734,7 +701,7 @@ def train_rendering_baseline(
         order = np.argsort(samples, axis=1, kind="stable")
         depths = np.take_along_axis(samples, order, axis=1)
         work.gather(np.take_along_axis(source, order, axis=1).reshape(-1))
-        occ_logit, sem_logits, feat, cache = _cached_rows(model, work, 0, b * ns)
+        occ_logit, sem_logits, cache = _cached_rows(model, work, 0, b * ns)
         occ = _sigmoid(occ_logit).reshape(b, ns)
         sem = _softmax(sem_logits).reshape(b, ns, model.n_classes)
 
@@ -764,85 +731,66 @@ def train_rendering_baseline(
         sm = sem.reshape(-1, model.n_classes)
         ds = d_sem_rows.reshape(-1, model.n_classes)
         d_sem_logits = sm * (ds - (ds * sm).sum(axis=1, keepdims=True))
-        grads = _backward_from_output_grads(
-            model, cache, d_occ_logit, d_sem_logits, np.zeros_like(feat), grid_grad
-        )
-        return grads, LossReport(l_depth + l_sem, l_depth, l_sem, 0.0, b, n_lab, 0)
+        grads = _backward_from_output_grads(model, cache, d_occ_logit, d_sem_logits, grid_grad)
+        return grads, LossReport(l_depth + l_sem, l_depth, l_sem, b, n_lab)
 
     return _run_steps(model, cfg, b * ns, step)
 
 
 _FM_MAGIC = b"QOFM"
 _FM_VERSION = 1
+_FM_COUNT = struct.Struct("<II")  # version, number of layer sizes
+# n_classes, feature_dim (always 0), Fourier bands, min and max frequency,
+# k_hr, beta, grid width, height and channels
+_FM_HEAD = struct.Struct("<IIIff2f3I")
 
 
 def write_field_model(model: FieldModel, destination) -> None:
     """QOFM format: architecture header then float32 parameters in order
     (grid C-order, then per layer W and b)."""
     sizes = model.layer_sizes
-    head = _FM_MAGIC + struct.pack("<II", _FM_VERSION, len(sizes))
-    head += struct.pack(f"<{len(sizes)}I", *sizes)
-    head += struct.pack(
-        "<IIIff2f3I",
-        model.n_classes,
-        model.feature_dim,
-        model.fourier.n_bands,
-        model.fourier.min_freq,
-        model.fourier.max_freq,
-        model.contraction.k_hr,
-        model.contraction.beta,
-        model.grid.width,
-        model.grid.height,
-        model.grid.channels,
+    head = (
+        _FM_MAGIC
+        + _FM_COUNT.pack(_FM_VERSION, len(sizes))
+        + struct.pack(f"<{len(sizes)}I", *sizes)
+        + _FM_HEAD.pack(
+            model.n_classes,
+            0,
+            model.fourier.n_bands,
+            model.fourier.min_freq,
+            model.fourier.max_freq,
+            model.contraction.k_hr,
+            model.contraction.beta,
+            model.grid.width,
+            model.grid.height,
+            model.grid.channels,
+        )
     )
-    parts = [model.grid.data.astype("<f4").tobytes()]
-    for w, b in model.layers:
-        parts.append(w.astype("<f4").tobytes())
-        parts.append(b.astype("<f4").tobytes())
-    write_bytes(destination, head + b"".join(parts))
+    params = (np.ascontiguousarray(p, dtype="<f4") for p in model.parameters())
+    _format.write(destination, itertools.chain([head], params))
 
 
 def read_field_model(source) -> FieldModel:
-    data = read_bytes(source)
-    if len(data) < 4 or data[:4] != _FM_MAGIC:
-        raise BadMagicError("not a QOFM model file")
-    off = 4
-    try:
-        version, n_sizes = struct.unpack_from("<II", data, off)
-        off += 8
-        if version != _FM_VERSION:
-            raise FormatVersionError(f"unsupported QOFM version {version}")
-        sizes = struct.unpack_from(f"<{n_sizes}I", data, off)
-        off += 4 * n_sizes
-        (n_classes, feature_dim, n_bands, fmin, fmax, k_hr, beta, gw, gh, gc) = (
-            struct.unpack_from("<IIIff2f3I", data, off)
-        )
-        off += struct.calcsize("<IIIff2f3I")
-    except struct.error as e:
-        raise TruncatedFileError(f"QOFM header truncated: {e}")
+    f = _format.Reader(source, _FM_MAGIC, {_FM_VERSION: _FM_COUNT})
+    _, n_sizes = f.header
+    sizes = f.unpack(struct.Struct(f"<{n_sizes}I"))
+    n_classes, feature_dim, n_bands, fmin, fmax, k_hr, beta, gw, gh, gc = f.unpack(_FM_HEAD)
+    f.no_features(feature_dim)
     fourier = FourierConfig(n_bands, float(fmin), float(fmax))
     contraction = ContractionParams(float(k_hr), float(beta))
 
-    def take(count, shape):
-        nonlocal off
-        nbytes = 4 * count
-        if len(data) < off + nbytes:
-            raise TruncatedFileError("QOFM parameters truncated")
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).astype(np.float64)
-        off += nbytes
-        return arr.reshape(shape)
+    def take(*shape):
+        return f.array("<f4", math.prod(shape)).astype(np.float64).reshape(shape)
 
-    grid = BevGrid(gw, gh, gc, contraction, take(gh * gw * gc, (gh, gw, gc)))
-    layers = []
-    for i in range(n_sizes - 1):
-        w = take(sizes[i] * sizes[i + 1], (sizes[i], sizes[i + 1]))
-        b = take(sizes[i + 1], (sizes[i + 1],))
-        layers.append((w, b))
-    return FieldModel(grid, layers, fourier, n_classes, feature_dim)
+    grid = BevGrid(gw, gh, gc, contraction, take(gh, gw, gc))
+    layers = [(take(m, n), take(n)) for m, n in zip(sizes, sizes[1:])]
+    return FieldModel(grid, layers, fourier, n_classes)
 
 
 def write_loss_csv(history: Sequence[LossReport], destination) -> None:
+    """One row per step.  The ``vfm`` column is always 0: the field has no
+    feature head, and the column keeps the file's layout."""
     lines = ["step,total,occ,sem,vfm\n"]
     for i, r in enumerate(history):
-        lines.append(f"{i},{r.total:.10g},{r.occ:.10g},{r.sem:.10g},{r.vfm:.10g}\n")
-    write_bytes(destination, "".join(lines).encode())
+        lines.append(f"{i},{r.total:.10g},{r.occ:.10g},{r.sem:.10g},0\n")
+    _format.write(destination, ["".join(lines).encode()])

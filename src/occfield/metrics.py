@@ -26,7 +26,7 @@ from .field import FieldModel, forward_batch
 from .geometry import ray_box
 from .pointcloud import ClassTable
 from .scene import FREE, ScanSpec, VoxelVolume
-from ._util import write_bytes
+from . import _format
 
 __all__ = [
     "MetricsReport",
@@ -148,7 +148,7 @@ def predict_volume(
     for lo in range(0, len(centers), _CHUNK):
         hi = min(lo + _CHUNK, len(centers))
         q = np.concatenate([centers[lo:hi], np.full((hi - lo, 1), time)], axis=1)
-        occ_p, sem_p, _ = forward_batch(model, q)
+        occ_p, sem_p = forward_batch(model, q)
         occupied = occ_p >= occ_threshold
         cls = np.argmax(sem_p, axis=1).astype(np.int32)
         labels[lo:hi] = np.where(occupied, cls, FREE)
@@ -434,7 +434,7 @@ def write_metrics_csv(report: MetricsReport, destination, classes: ClassTable | 
         lines.append(f"{name},{iou_v},{ray_v},{sup}\n")
     lines.append("# mean_iou,dyn_iou,occ_iou,mean_rayiou,dyn_rayiou,occ_rayiou\n")
     lines.append(summary_line(report) + "\n")
-    write_bytes(destination, "".join(lines).encode())
+    _format.write(destination, ["".join(lines).encode()])
 
 
 def write_ray_counts_csv(report: MetricsReport, destination, classes: ClassTable | None = None) -> None:
@@ -444,4 +444,4 @@ def write_ray_counts_csv(report: MetricsReport, destination, classes: ClassTable
     for name, counts in zip(names, [*report.ray_counts, report.occ_ray_counts]):
         for tau, (tp, fp, fn) in zip(report.depth_tolerances, counts):
             lines.append(f"{name},{tau},{tp},{fp},{fn}\n")
-    write_bytes(destination, "".join(lines).encode())
+    _format.write(destination, ["".join(lines).encode()])

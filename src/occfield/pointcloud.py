@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadMagicError, FeatureDimMismatchError, FormatVersionError, TruncatedFileError
-from ._util import read_bytes, write_bytes
+from . import _format
 
 __all__ = [
     "UNLABELED",
@@ -30,15 +29,19 @@ UNLABELED = 0xFFFF  # sentinel in the class field: occupancy-only supervision
 
 _MAGIC = b"QOPC"
 _VERSION = 1
-_HEADER = struct.Struct("<IQHBB")  # version, count, feature_dim, source_tag, reserved
-_SOURCE_TAGS = ("pseudo", "lidar", "unified")
+# version, count, feature_dim (always 0), source tag (always 1, lidar), reserved
+_HEADER = struct.Struct("<IQHBB")
+_RECORD = np.dtype([
+    ("position", "<f4", (3,)),
+    ("origin", "<f4", (3,)),
+    ("time", "<f4"),
+    ("class_id", "<u2"),
+    ("flags", "<u2"),
+])
 
 
 class PointCloud:
-    """Immutable-by-convention column store of point records.
-
-    All records share one feature dimensionality (0 meaning no features).
-    """
+    """Immutable-by-convention column store of point records."""
 
     def __init__(
         self,
@@ -47,8 +50,6 @@ class PointCloud:
         times: np.ndarray,
         class_ids: np.ndarray,
         dynamic_flags: np.ndarray,
-        features: np.ndarray | None = None,
-        source_tag: str = "lidar",
     ):
         n = len(positions)
         self.positions = np.asarray(positions, dtype=np.float64).reshape(n, 3)
@@ -56,15 +57,6 @@ class PointCloud:
         self.times = np.asarray(times, dtype=np.float64).reshape(n)
         self.class_ids = np.asarray(class_ids, dtype=np.uint16).reshape(n)
         self.dynamic_flags = np.asarray(dynamic_flags, dtype=bool).reshape(n)
-        if features is None:
-            features = np.zeros((n, 0), dtype=np.float64)
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != n:
-            raise ValueError("features must have shape (n, feature_dim)")
-        self.features = feats
-        if source_tag not in _SOURCE_TAGS:
-            raise ValueError(f"unknown source_tag {source_tag!r}")
-        self.source_tag = source_tag
         if not (
             np.all(np.isfinite(self.positions))
             and np.all(np.isfinite(self.origins))
@@ -72,95 +64,47 @@ class PointCloud:
         ):
             raise ValueError("point cloud coordinates must be finite")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
     def __len__(self) -> int:
         return len(self.positions)
 
     @staticmethod
     def concat(clouds: Sequence["PointCloud"]) -> "PointCloud":
-        """All records of ``clouds`` in order; the first cloud's source tag."""
-        fdims = {c.feature_dim for c in clouds}
-        if len(fdims) > 1:
-            raise FeatureDimMismatchError(f"clouds disagree on feature_dim: {sorted(fdims)}")
+        """All records of ``clouds`` in order."""
         return PointCloud(
             np.concatenate([c.positions for c in clouds]),
             np.concatenate([c.origins for c in clouds]),
             np.concatenate([c.times for c in clouds]),
             np.concatenate([c.class_ids for c in clouds]),
             np.concatenate([c.dynamic_flags for c in clouds]),
-            np.concatenate([c.features for c in clouds]),
-            clouds[0].source_tag,
         )
 
     def take(self, indices: np.ndarray) -> "PointCloud":
         idx = np.asarray(indices)
         return PointCloud(
             self.positions[idx], self.origins[idx], self.times[idx],
-            self.class_ids[idx], self.dynamic_flags[idx], self.features[idx],
-            self.source_tag,
+            self.class_ids[idx], self.dynamic_flags[idx],
         )
-
-
-def _record_dtype(feature_dim: int) -> np.dtype:
-    fields = [
-        ("position", "<f4", (3,)),
-        ("origin", "<f4", (3,)),
-        ("time", "<f4"),
-        ("class_id", "<u2"),
-        ("flags", "<u2"),
-    ]
-    if feature_dim:
-        fields.append(("feature", "<f4", (feature_dim,)))
-    return np.dtype(fields)
 
 
 def write_pointcloud(pc: PointCloud, destination) -> None:
     """Serialize to the QOPC binary format (little-endian, float32 payload)."""
-    rec = np.zeros(len(pc), dtype=_record_dtype(pc.feature_dim))
-    rec["position"] = pc.positions.astype("<f4")
-    rec["origin"] = pc.origins.astype("<f4")
-    rec["time"] = pc.times.astype("<f4")
+    rec = np.zeros(len(pc), dtype=_RECORD)
+    rec["position"] = pc.positions
+    rec["origin"] = pc.origins
+    rec["time"] = pc.times
     rec["class_id"] = pc.class_ids
-    rec["flags"] = pc.dynamic_flags.astype("<u2")  # bit 0 = dynamic
-    if pc.feature_dim:
-        rec["feature"] = pc.features.astype("<f4")
-    blob = _MAGIC + _HEADER.pack(
-        _VERSION, len(pc), pc.feature_dim, _SOURCE_TAGS.index(pc.source_tag), 0
-    ) + rec.tobytes()
-    write_bytes(destination, blob)
+    rec["flags"] = pc.dynamic_flags  # bit 0 = dynamic
+    _format.write(destination, [_MAGIC + _HEADER.pack(_VERSION, len(pc), 0, 1, 0), rec])
 
 
 def read_pointcloud(source) -> PointCloud:
     """Read a QOPC file; raises a distinct error per malformation."""
-    data = read_bytes(source)
-    if len(data) < 4 or data[:4] != _MAGIC:
-        raise BadMagicError("not a QOPC point cloud file")
-    if len(data) < 4 + _HEADER.size:
-        raise TruncatedFileError("QOPC header truncated")
-    version, count, feature_dim, tag_code, _ = _HEADER.unpack_from(data, 4)
-    if version != _VERSION:
-        raise FormatVersionError(f"unsupported QOPC version {version}")
-    if tag_code >= len(_SOURCE_TAGS):
-        raise FormatVersionError(f"unknown source tag code {tag_code}")
-    dtype = _record_dtype(feature_dim)
-    payload = data[4 + _HEADER.size:]
-    if len(payload) < count * dtype.itemsize:
-        raise TruncatedFileError(
-            f"expected {count * dtype.itemsize} payload bytes, got {len(payload)}"
-        )
-    rec = np.frombuffer(payload, dtype=dtype, count=count)
-    feats = rec["feature"].astype(np.float64) if feature_dim else np.zeros((count, 0))
+    f = _format.Reader(source, _MAGIC, {_VERSION: _HEADER})
+    _, count, feature_dim, _, _ = f.header
+    f.no_features(feature_dim)
+    rec = f.array(_RECORD, count)
     return PointCloud(
-        rec["position"].astype(np.float64),
-        rec["origin"].astype(np.float64),
-        rec["time"].astype(np.float64),
-        rec["class_id"].copy(),
-        (rec["flags"] & 1).astype(bool),
-        feats,
-        _SOURCE_TAGS[tag_code],
+        rec["position"], rec["origin"], rec["time"], rec["class_id"].copy(), rec["flags"] & 1,
     )
 
 
@@ -179,8 +123,8 @@ class ClassTable:
             raise ValueError("need at least one class")
         if freqs.shape != (len(self.names),) or dyn.shape != (len(self.names),):
             raise ValueError("frequencies/dynamic_mask must match names")
-        if np.any(freqs < 0):
-            raise ValueError("frequencies must be non-negative")
+        if not np.all((freqs >= 0) & (freqs < np.inf)):  # NaN fails this too
+            raise ValueError("frequencies must be finite and non-negative")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "dynamic_mask", dyn)
@@ -195,11 +139,11 @@ def write_class_table(table: ClassTable, destination) -> None:
         f"{name},{freq:.10g},{int(dyn)}\n"
         for name, freq, dyn in zip(table.names, table.frequencies, table.dynamic_mask)
     ]
-    write_bytes(destination, "".join(lines).encode())
+    _format.write(destination, ["".join(lines).encode()])
 
 
 def read_class_table(source) -> ClassTable:
-    text = read_bytes(source).decode()
+    text = _format.read_bytes(source).decode()
     names, freqs, dyn = [], [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()

@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadMagicError, FormatVersionError, TruncatedFileError
+from . import _format
 from .geometry import ray_box
 from .pointcloud import ClassTable, PointCloud
-from ._util import read_bytes, write_bytes
 
 __all__ = [
     "Box",
@@ -247,9 +246,8 @@ def raycast_scan(
 ) -> PointCloud:
     """Simulate a lidar-style scan: first hit per ray within max_range.
 
-    Misses produce no record, and points carry no features.  Gaussian
-    position noise of ``scan.noise_sigma`` is applied when configured
-    (seeded, isotropic).
+    Misses produce no record.  Gaussian position noise of
+    ``scan.noise_sigma`` is applied when configured (seeded, isotropic).
     """
     dirs = scan.directions()
     origins = scan.origins()
@@ -366,26 +364,12 @@ def write_voxel_volume(vol: VoxelVolume, destination) -> None:
         maxs[0], maxs[1], maxs[2],
     )
     cells = np.where(vol.labels == FREE, 0, vol.labels + 1).astype("<u2")
-    write_bytes(destination, header + cells.tobytes())
+    _format.write(destination, [header, cells])
 
 
 def read_voxel_volume(source) -> VoxelVolume:
-    data = read_bytes(source)
-    if len(data) < 4 or data[:4] != _VOX_MAGIC:
-        raise BadMagicError("not a QOVX voxel file")
-    if len(data) < 8:
-        raise TruncatedFileError("QOVX header truncated")
-    (version,) = struct.unpack_from("<I", data, 4)
-    header = _VOX_HEADERS.get(version)
-    if header is None:
-        raise FormatVersionError(f"unsupported QOVX version {version}")
-    if len(data) < 4 + header.size:
-        raise TruncatedFileError("QOVX header truncated")
-    _, nx, ny, nz, cell, *extents = header.unpack_from(data, 4)
-    count = nx * ny * nz
-    payload = data[4 + header.size:]
-    if len(payload) < 2 * count:
-        raise TruncatedFileError("QOVX payload truncated")
-    cells = np.frombuffer(payload, dtype="<u2", count=count).reshape(nx, ny, nz)
+    f = _format.Reader(source, _VOX_MAGIC, _VOX_HEADERS)
+    _, nx, ny, nz, cell, *extents = f.header
+    cells = f.array("<u2", nx * ny * nz).reshape(nx, ny, nz)
     labels = np.where(cells == 0, FREE, cells.astype(np.int32) - 1)
     return VoxelVolume(labels, np.array(extents[:3], dtype=np.float64), float(cell))

@@ -15,16 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    EmptyBatchError,
-    FeatureDimMismatchError,
-    FormatVersionError,
-    TruncatedFileError,
-)
+from . import _format
+from .errors import EmptyBatchError
 from .pointcloud import UNLABELED, PointCloud
 from .scene import SceneSpec, oracle_query_batch
-from ._util import read_bytes, write_bytes
 
 __all__ = [
     "SamplingConfig",
@@ -58,19 +52,14 @@ class SamplingConfig:
 
 
 class QueryBatch:
-    """Column store of query samples.
+    """Column store of query samples: (x, y, z, t) queries, their occupancy
+    target (1 occupied, 0 free) and their class target.
 
-    ``classes`` uses the UNLABELED sentinel where no semantic target exists;
-    feature targets exist exactly for positive samples when feature_dim > 0.
+    ``classes`` uses the UNLABELED sentinel where no semantic target exists,
+    which is always the case for free samples.
     """
 
-    def __init__(
-        self,
-        queries: np.ndarray,
-        occupancy: np.ndarray,
-        classes: np.ndarray,
-        features: np.ndarray | None = None,
-    ):
+    def __init__(self, queries: np.ndarray, occupancy: np.ndarray, classes: np.ndarray):
         n = len(queries)
         self.queries = np.asarray(queries, dtype=np.float64).reshape(n, 4)
         # min and max carry any NaN or infinity, without a full-size mask
@@ -78,28 +67,16 @@ class QueryBatch:
             raise ValueError("queries must be finite")
         self.occupancy = np.asarray(occupancy, dtype=np.uint8).reshape(n)
         self.classes = np.asarray(classes, dtype=np.uint16).reshape(n)
-        if features is None:
-            features = np.zeros((n, 0))
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != n:
-            raise ValueError("features must have shape (n, feature_dim)")
-        self.features = feats
         neg_labeled = (self.occupancy == 0) & (self.classes != UNLABELED)
         if neg_labeled.any():
             raise ValueError("negative samples must not carry semantic targets")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
 
     def __len__(self) -> int:
         return len(self.queries)
 
     def take(self, indices: np.ndarray) -> "QueryBatch":
         idx = np.asarray(indices)
-        return QueryBatch(
-            self.queries[idx], self.occupancy[idx], self.classes[idx], self.features[idx]
-        )
+        return QueryBatch(self.queries[idx], self.occupancy[idx], self.classes[idx])
 
 
 def _open_unit(rng: np.random.Generator, shape) -> np.ndarray:
@@ -136,8 +113,7 @@ def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, good, r_neg, r_pos):
 
     Per point, ``n_neg_per_point`` free samples at o + r (p - o) and
     ``n_pos_per_point`` occupied samples at p + r (p - o)/|p - o|, with the
-    point's time, class and features.  Returns (neg_q, pos_q, pos_cls,
-    pos_feat).
+    point's time and class.  Returns (neg_q, pos_q, pos_cls).
     """
     gi = slice(None) if good.all() else np.flatnonzero(good)
 
@@ -154,8 +130,7 @@ def _cloud_queries(pc: PointCloud, cfg: SamplingConfig, good, r_neg, r_pos):
     pos_pts = pc.positions[gi, None, :] + r_pos[gi, :, None] * unit[:, None, :]
     pos_q = timed(pos_pts, cfg.n_pos_per_point)
     pos_cls = np.repeat(pc.class_ids[gi], cfg.n_pos_per_point)
-    pos_feat = np.repeat(pc.features[gi], cfg.n_pos_per_point, axis=0)
-    return neg_q, pos_q, pos_cls, pos_feat
+    return neg_q, pos_q, pos_cls
 
 
 def _rows(rows: np.ndarray, n: int, keep: np.ndarray | None) -> np.ndarray:
@@ -200,10 +175,6 @@ def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryB
     """
     if not clouds:
         raise EmptyBatchError("no point clouds given")
-    fdims = {c.feature_dim for c in clouds}
-    if len(fdims) > 1:
-        raise FeatureDimMismatchError(f"clouds disagree on feature_dim: {sorted(fdims)}")
-    fdim = fdims.pop()
     rng = np.random.default_rng(cfg.seed)
 
     frames = []
@@ -226,7 +197,6 @@ def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryB
     queries = np.empty((2 * m, 4))
     occupancy = np.empty(2 * m, np.uint8)
     classes = np.full(2 * m, UNLABELED, np.uint16)
-    features = np.zeros((2 * m, fdim))
     draws = [_draw(pc, cfg, rng) for pc, _ in frames]
     keep_neg = np.sort(rng.choice(n_neg, size=m, replace=False)) if n_neg > m else None
     keep_pos = np.sort(rng.choice(n_pos, size=m, replace=False)) if n_pos > m else None
@@ -242,13 +212,12 @@ def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryB
 
     i_neg = i_pos = 0
     for (pc, good), (r_neg, r_pos) in zip(frames, draws):
-        neg_q, pos_q, pos_cls, pos_feat = _cloud_queries(pc, cfg, good, r_neg, r_pos)
+        neg_q, pos_q, pos_cls = _cloud_queries(pc, cfg, good, r_neg, r_pos)
         _scatter(neg_rows[i_neg:i_neg + len(neg_q)], [(queries, neg_q)])
-        pairs = [(queries, pos_q), (classes, pos_cls)] + ([(features, pos_feat)] if fdim else [])
-        _scatter(pos_rows[i_pos:i_pos + len(pos_q)], pairs)
+        _scatter(pos_rows[i_pos:i_pos + len(pos_q)], [(queries, pos_q), (classes, pos_cls)])
         i_neg += len(neg_q)
         i_pos += len(pos_q)
-    return QueryBatch(queries, occupancy, classes, features)
+    return QueryBatch(queries, occupancy, classes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,43 +263,22 @@ def validate_against_oracle(batch: QueryBatch, scene: SceneSpec) -> SupervisionR
 
 _QS_MAGIC = b"QOQS"
 _QS_VERSION = 1
-_QS_HEADER = struct.Struct("<IQH")  # version, count, feature_dim
-
-
-def _sample_dtype(feature_dim: int) -> np.dtype:
-    fields = [("query", "<f4", (4,)), ("occ", "u1"), ("class", "<u2")]
-    if feature_dim:
-        fields.append(("feature", "<f4", (feature_dim,)))
-    return np.dtype(fields)
+_QS_HEADER = struct.Struct("<IQH")  # version, count, feature_dim (always 0)
+_QS_RECORD = np.dtype([("query", "<f4", (4,)), ("occ", "u1"), ("class", "<u2")])
 
 
 def write_query_batch(batch: QueryBatch, destination) -> None:
     """QOQS format (float32 payload)."""
-    rec = np.zeros(len(batch), dtype=_sample_dtype(batch.feature_dim))
-    rec["query"] = batch.queries.astype("<f4")
+    rec = np.zeros(len(batch), dtype=_QS_RECORD)
+    rec["query"] = batch.queries
     rec["occ"] = batch.occupancy
     rec["class"] = batch.classes
-    if batch.feature_dim:
-        rec["feature"] = batch.features.astype("<f4")
-    blob = _QS_MAGIC + _QS_HEADER.pack(_QS_VERSION, len(batch), batch.feature_dim)
-    write_bytes(destination, blob + rec.tobytes())
+    _format.write(destination, [_QS_MAGIC + _QS_HEADER.pack(_QS_VERSION, len(batch), 0), rec])
 
 
 def read_query_batch(source) -> QueryBatch:
-    data = read_bytes(source)
-    if len(data) < 4 or data[:4] != _QS_MAGIC:
-        raise BadMagicError("not a QOQS query batch file")
-    if len(data) < 4 + _QS_HEADER.size:
-        raise TruncatedFileError("QOQS header truncated")
-    version, count, feature_dim = _QS_HEADER.unpack_from(data, 4)
-    if version != _QS_VERSION:
-        raise FormatVersionError(f"unsupported QOQS version {version}")
-    dtype = _sample_dtype(feature_dim)
-    payload = data[4 + _QS_HEADER.size:]
-    if len(payload) < count * dtype.itemsize:
-        raise TruncatedFileError("QOQS payload truncated")
-    rec = np.frombuffer(payload, dtype=dtype, count=count)
-    feats = rec["feature"].astype(np.float64) if feature_dim else None
-    return QueryBatch(
-        rec["query"].astype(np.float64), rec["occ"].copy(), rec["class"].copy(), feats
-    )
+    f = _format.Reader(source, _QS_MAGIC, {_QS_VERSION: _QS_HEADER})
+    _, count, feature_dim = f.header
+    f.no_features(feature_dim)
+    rec = f.array(_QS_RECORD, count)
+    return QueryBatch(rec["query"], rec["occ"].copy(), rec["class"].copy())

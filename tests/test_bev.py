@@ -11,40 +11,54 @@ P = ContractionParams(40.0, 0.8)
 ENC = FourierConfig(1, 1.0, 1.0)  # 4 encoding channels: sin and cos of z and t
 
 
-def _points(positions, cls=0):
-    """A cloud of ``positions`` at time 0, all of class ``cls``."""
+def _points(positions):
+    """A cloud of ``positions`` at time 0."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = len(pos)
-    return PointCloud(pos, pos + 5.0, np.zeros(n), np.full(n, cls, np.uint16), np.zeros(n, bool))
+    return PointCloud(pos, pos + 5.0, np.zeros(n), np.zeros(n, np.uint16), np.zeros(n, bool))
 
 
 def _mass(grid):
-    return float(grid.data[:, :, -1].sum())
+    return float(grid.data.sum())
 
 
 class TestSplat:
     def test_point_at_cell_center_stays_in_one_cell(self):
-        grid = BevGrid(8, 8, 4 + 2 + 1, P)
+        grid = BevGrid(8, 8, 1, P)
         # cell centers sit at contracted (2(i+0.5)/8 - 1); pick i=5 -> 0.375
         x = 0.375 / 0.8 * 40.0  # inverse of contraction within the linear branch
-        out = splat_pointcloud(_points([x, x, 0.0], cls=1), grid, ENC, n_classes=2)
-        assert out.data[5, 5, -1] == pytest.approx(1.0)
-        assert out.data[5, 5, 4 + 1] == pytest.approx(1.0)  # one-hot class 1
-        assert np.count_nonzero(out.data[:, :, -1]) == 1
+        out = splat_pointcloud(_points([x, x, 0.0]), grid)
+        assert out.data[5, 5, 0] == pytest.approx(1.0)
+        assert np.count_nonzero(out.data) == 1
 
     def test_mass_conservation_with_far_points(self):
         rng = np.random.default_rng(1)
-        grid = BevGrid(16, 16, 4 + 3 + 1, P)
-        out = splat_pointcloud(_points(rng.uniform(-900, 900, (400, 3)), cls=2), grid, ENC, n_classes=3)
+        grid = BevGrid(16, 16, 1, P)
+        out = splat_pointcloud(_points(rng.uniform(-900, 900, (400, 3))), grid)
         assert _mass(out) == pytest.approx(400.0, abs=1e-6)
 
     def test_additivity(self):
         rng = np.random.default_rng(2)
-        grid = BevGrid(12, 12, 4 + 2 + 1, P)
-        pc = _points(rng.uniform(-100, 100, (100, 3)), cls=1)
-        both = splat_pointcloud(pc, grid, ENC, n_classes=2)
-        halves = [splat_pointcloud(pc.take(np.arange(i, i + 50)), grid, ENC, n_classes=2) for i in (0, 50)]
+        grid = BevGrid(12, 12, 1, P)
+        pc = _points(rng.uniform(-100, 100, (100, 3)))
+        both = splat_pointcloud(pc, grid)
+        halves = [splat_pointcloud(pc.take(np.arange(i, i + 50)), grid) for i in (0, 50)]
         np.testing.assert_allclose(halves[0].data + halves[1].data, both.data, atol=1e-9)
+
+    def test_mass_lands_on_the_four_bilinear_cells(self):
+        rng = np.random.default_rng(7)
+        pos = rng.uniform(-60, 60, (50, 3))
+        out = splat_pointcloud(_points(pos), BevGrid(10, 10, 1, P))
+        ref = np.zeros((10, 10))
+        for x, y, _ in pos:
+            u = (contract_axis(x, P) + 1) / 2 * 10 - 0.5
+            v = (contract_axis(y, P) + 1) / 2 * 10 - 0.5
+            x0, y0 = int(np.floor(u)), int(np.floor(v))
+            fx, fy = u - x0, v - y0
+            for dx, dy, weight in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
+                                   (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
+                ref[np.clip(y0 + dy, 0, 9), np.clip(x0 + dx, 0, 9)] += weight
+        np.testing.assert_allclose(out.data[:, :, 0], ref, atol=1e-12)
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(3)
@@ -74,11 +88,11 @@ class TestSplat:
         grid = BevGrid(8, 8, 3, P)
         for pc in (_points(np.zeros(3)), _points(np.zeros((0, 3)))):
             with pytest.raises(ValueError, match="channels"):
-                splat_pointcloud(pc, grid, ENC, n_classes=2)
+                splat_pointcloud(pc, grid)
 
     def test_empty_input_returns_copy(self):
-        grid = BevGrid(8, 8, 4 + 2 + 1, P, np.full((8, 8, 7), 0.5))
-        out = splat_pointcloud(_points(np.zeros((0, 3))), grid, ENC, n_classes=2)
+        grid = BevGrid(8, 8, 1, P, np.full((8, 8, 1), 0.5))
+        out = splat_pointcloud(_points(np.zeros((0, 3))), grid)
         assert out is not grid and out.data is not grid.data
         np.testing.assert_array_equal(out.data, grid.data)
 
@@ -92,14 +106,11 @@ class TestSplatPointcloud:
         )
 
     def test_empty_cloud_zero_grid(self):
-        enc = FourierConfig(4, 1.0, 10.0)
-        grid = BevGrid(8, 8, 4 * 4 + 3 + 1, P)
-        out = splat_pointcloud(_points(np.zeros((0, 3))), grid, enc, n_classes=3)
+        out = splat_pointcloud(_points(np.zeros((0, 3))), BevGrid(8, 8, 1, P))
         assert _mass(out) == 0.0
 
     def test_duplicate_point_doubles_mass(self):
-        enc = FourierConfig(4, 1.0, 10.0)
-        grid = BevGrid(8, 8, 16 + 2 + 1, P)
+        grid = BevGrid(8, 8, 1, P)
         rng = np.random.default_rng(5)
         one = self._cloud(rng, 1)
         two = PointCloud(
@@ -107,16 +118,15 @@ class TestSplatPointcloud:
             np.repeat(one.times, 2), np.repeat(one.class_ids, 2),
             np.repeat(one.dynamic_flags, 2),
         )
-        a = splat_pointcloud(one, grid, enc, n_classes=2)
-        b = splat_pointcloud(two, grid, enc, n_classes=2)
+        a = splat_pointcloud(one, grid)
+        b = splat_pointcloud(two, grid)
         np.testing.assert_allclose(b.data, 2 * a.data, atol=1e-12)
 
     def test_mass_equals_point_count(self):
-        enc = FourierConfig(3, 1.0, 10.0)
-        grid = BevGrid(16, 16, 12 + 4 + 1, P)
+        grid = BevGrid(16, 16, 1, P)
         rng = np.random.default_rng(6)
         pc = self._cloud(rng, 250, cls=2)
-        out = splat_pointcloud(pc, grid, enc, n_classes=4)
+        out = splat_pointcloud(pc, grid)
         assert _mass(out) == pytest.approx(250.0, abs=1e-6)
 
 
@@ -126,7 +136,7 @@ class TestEncodeAndIO:
         rng = np.random.default_rng(8)
         contraction = ContractionParams(40.0, 0.75)
         grid = BevGrid(6, 4, 3, contraction, rng.integers(-100, 100, (4, 6, 3)) / 16.0)
-        model = FieldModel(grid, [(np.zeros((3 + 4 * ENC.n_bands, 2)), np.zeros(2))], ENC, 1, 0)
+        model = FieldModel(grid, [(np.zeros((3 + 4 * ENC.n_bands, 2)), np.zeros(2))], ENC, 1)
         buf = io.BytesIO()
         write_field_model(model, buf)
         back = read_field_model(io.BytesIO(buf.getvalue())).grid

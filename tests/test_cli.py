@@ -185,11 +185,9 @@ def test_zero_class_model_is_a_validation_error(tmp_path, capsys):
     assert _run(run, *PREP, "train") == [EXIT_OK] * 4
     path = tmp_path / "out" / "model.qofm"
     blob = bytearray(path.read_bytes())
-    # magic, <II version and size count, the layer sizes, then n_classes and
-    # feature_dim: move every class to the feature head, so the widths chain
+    # magic, <II version and size count, the layer sizes, then n_classes
     off = 12 + 4 * struct.unpack_from("<I", blob, 8)[0]
-    n_classes, feature_dim = struct.unpack_from("<II", blob, off)
-    struct.pack_into("<II", blob, off, 0, feature_dim + n_classes)
+    struct.pack_into("<I", blob, off, 0)
     path.write_bytes(bytes(blob))
     assert _run(run, "eval") == [EXIT_VALIDATION]
     assert "n_classes" in capsys.readouterr().err

@@ -151,7 +151,8 @@ def test_missing_key(tmp_path, kind, key):
 
 
 # (file, key, value): numbers that do not parse, vectors of the wrong length,
-# or a scan value out of range
+# or a scan value out of range; for the class table, (file, the name the
+# error must give, the file's text)
 MALFORMED = [
     ("run", "total_steps", "abc"),
     ("run", "total_steps", "2.5"),
@@ -169,13 +170,24 @@ MALFORMED = [
     ("scan", "start", "0.1 0.0"),
     ("scan", "noise_sigma", "-1"),
     ("scan", "noise_sigma", "nan"),
+    ("classes", "classes.txt", "ground,abc,0"),
+    ("classes", "classes.txt", "ground,0.5"),
+    ("classes", "classes.txt", "ground,0.5,x"),
+    ("classes", "classes.txt", "ground,-1,0"),
+    ("classes", "classes.txt", ""),
+    ("classes", "classes.txt", "ground,nan,0"),
+    ("classes", "classes.txt", "ground,inf,0"),
 ]
 
 
 @pytest.mark.parametrize("where, key, value", MALFORMED)
 def test_malformed_number_exits_2(tmp_path, capsys, where, key, value):
     texts = {kind: text for kind, (_, text) in FILES.items()}
-    texts[where] = _set(texts[where], key, value)
+    if where == "classes":
+        texts["scene"] = texts["scene"].replace("[scene]\n", "[scene]\nclasses = classes.txt\n")
+        (tmp_path / "classes.txt").write_text(value)
+    else:
+        texts[where] = _set(texts[where], key, value)
     run = _write(tmp_path, texts["run"], texts["scene"], texts["scan"])
     # synth reads the scene and scan reads the scan file; both read the run config
     command = "scan" if where == "scan" else "synth"
@@ -247,7 +259,7 @@ TRAIN_OUT_OF_RANGE = [
     ("batch_size", "0"),
     ("lambda_occ", "-1"),
     ("lambda_sem", "-0.5"),
-    ("lambda_vfm", "nan"),
+    ("lambda_sem", "nan"),
     ("render_near", "0"),
     ("render_near", "-1"),
     ("render_near", "nan"),
@@ -260,7 +272,6 @@ TRAIN_OUT_OF_RANGE = [
     ("hidden_layers", "-1"),
     ("grid_size", "1"),
     ("grid_channels", "0"),
-    ("feature_dim", "-1"),
     ("warmup_steps", "-5"),
     ("learning_rate", "0"),
     ("learning_rate", "nan"),
@@ -287,6 +298,16 @@ def test_out_of_range_train_value_exits_2_before_any_stage(tmp_path, capsys, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("feature_dim", "0"), ("lambda_vfm", "0.5")])
+def test_feature_head_keys_are_unknown(tmp_path, capsys, key, value):
+    # the field has no feature head, so a config that sets its keys is refused
+    run = _write(tmp_path, _set_train(RUN, key, value))
+    for command in ("synth", "scan", "queries", "train"):
+        assert main([command, "--config", str(run)]) == EXIT_CONFIG
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 TRAIN_BOUNDARY = [
     ("total_steps", "1"),
     ("batch_size", "1"),
@@ -296,7 +317,6 @@ TRAIN_BOUNDARY = [
     ("render_importance", "0"),
     ("hidden_layers", "0"),
     ("grid_size", "2"),
-    ("feature_dim", "0"),
     ("warmup_steps", "0"),
     ("weight_decay", "0"),
 ]

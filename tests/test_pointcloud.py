@@ -12,15 +12,10 @@ from occfield import (
     write_class_table,
     write_pointcloud,
 )
-from occfield.errors import (
-    BadMagicError,
-    FeatureDimMismatchError,
-    FormatVersionError,
-    TruncatedFileError,
-)
+from occfield.errors import BadMagicError, FormatVersionError, TruncatedFileError
 
 
-def _random_cloud(rng, n, feature_dim=0, tag="lidar"):
+def _random_cloud(rng, n):
     # values chosen representable in float32 so file round trips compare equal
     positions = rng.integers(-8000, 8000, (n, 3)) / 128.0
     origins = positions + rng.integers(1, 4000, (n, 3)) / 128.0
@@ -30,14 +25,12 @@ def _random_cloud(rng, n, feature_dim=0, tag="lidar"):
         rng.integers(-12, 12, n) / 8.0,
         rng.integers(0, 5, n).astype(np.uint16),
         rng.random(n) < 0.5,
-        rng.integers(-1000, 1000, (n, feature_dim)) / 64.0,
-        tag,
     )
 
 
 class TestIO:
     def test_empty_round_trip_bytes(self):
-        pc = _random_cloud(np.random.default_rng(3), 0, tag="pseudo")
+        pc = _random_cloud(np.random.default_rng(3), 0)
         buf = io.BytesIO()
         write_pointcloud(pc, buf)
         blob = buf.getvalue()
@@ -52,8 +45,6 @@ class TestIO:
             np.array([0.5, -0.5, 0.0]),
             np.array([2, 0, UNLABELED], np.uint16),
             np.array([True, False, False]),
-            np.array([[0.25, -1.5], [1.0, 2.0], [0.0, 0.0]]),
-            "unified",
         )
         buf = io.BytesIO()
         write_pointcloud(pc, buf)
@@ -63,20 +54,17 @@ class TestIO:
         np.testing.assert_array_equal(back.times, pc.times)
         np.testing.assert_array_equal(back.class_ids, pc.class_ids)
         np.testing.assert_array_equal(back.dynamic_flags, pc.dynamic_flags)
-        np.testing.assert_array_equal(back.features, pc.features)
-        assert back.source_tag == "unified"
 
     def test_round_trip_byte_exact_randomized(self):
         rng = np.random.default_rng(0)
-        for feature_dim in (0, 3, 8):
-            for _ in range(5):
-                pc = _random_cloud(rng, int(rng.integers(1, 60)), feature_dim)
-                buf = io.BytesIO()
-                write_pointcloud(pc, buf)
-                blob = buf.getvalue()
-                again = io.BytesIO()
-                write_pointcloud(read_pointcloud(io.BytesIO(blob)), again)
-                assert again.getvalue() == blob
+        for _ in range(15):
+            pc = _random_cloud(rng, int(rng.integers(1, 60)))
+            buf = io.BytesIO()
+            write_pointcloud(pc, buf)
+            blob = buf.getvalue()
+            again = io.BytesIO()
+            write_pointcloud(read_pointcloud(io.BytesIO(blob)), again)
+            assert again.getvalue() == blob
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
@@ -101,12 +89,6 @@ class TestIO:
         with pytest.raises(TruncatedFileError):
             read_pointcloud(io.BytesIO(blob[:10]))
 
-    def test_feature_dim_mismatch(self):
-        rng = np.random.default_rng(4)
-        clouds = [_random_cloud(rng, 2, feature_dim=1), _random_cloud(rng, 2, feature_dim=2)]
-        with pytest.raises(FeatureDimMismatchError):
-            PointCloud.concat(clouds)
-
     def test_class_table_round_trip(self, tmp_path):
         table = ClassTable(("ground", "car"), np.array([0.8, 0.2]), np.array([False, True]))
         path = tmp_path / "classes.txt"
@@ -120,10 +102,10 @@ class TestIO:
 class TestConcat:
     def test_records_in_order(self):
         rng = np.random.default_rng(5)
-        parts = [_random_cloud(rng, n, feature_dim=2, tag="unified") for n in (3, 0, 5)]
+        parts = [_random_cloud(rng, n) for n in (3, 0, 5)]
         whole = PointCloud.concat(parts)
-        assert len(whole) == 8 and whole.source_tag == "unified" and whole.feature_dim == 2
+        assert len(whole) == 8
         order = [(0, j) for j in range(3)] + [(2, j) for j in range(5)]
-        for column in ("positions", "origins", "times", "class_ids", "dynamic_flags", "features"):
+        for column in ("positions", "origins", "times", "class_ids", "dynamic_flags"):
             expected = np.stack([getattr(parts[k], column)[j] for k, j in order])
             np.testing.assert_array_equal(getattr(whole, column), expected)

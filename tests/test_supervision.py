@@ -17,7 +17,7 @@ from occfield import (
     validate_against_oracle,
     write_query_batch,
 )
-from occfield.errors import EmptyBatchError, FeatureDimMismatchError
+from occfield.errors import EmptyBatchError
 from occfield.supervision import DEGENERATE_RAY_EPS, _cloud_queries, _draw, _open_unit, _usable
 
 
@@ -33,17 +33,14 @@ class _FixedRng:
         return np.full(shape, self.value)
 
 
-def _point(p, o, t=0.0, cls=3, feat=None):
+def _point(p, o, t=0.0, cls=3):
     """A cloud of one point ``p`` seen from ``o``."""
-    return PointCloud(
-        np.asarray(p, float)[None], np.asarray(o, float)[None], [t], [cls], [False],
-        None if feat is None else np.asarray(feat, float)[None],
-    )
+    return PointCloud(np.asarray(p, float)[None], np.asarray(o, float)[None], [t], [cls], [False])
 
 
 def _queries(point, cfg, rng=None):
-    """(negative queries, positive queries, positive classes, positive features)
-    of one cloud, drawn and generated as build_query_set does for a frame."""
+    """(negative queries, positive queries, positive classes) of one cloud,
+    drawn and generated as build_query_set does for a frame."""
     draws = _draw(point, cfg, np.random.default_rng(cfg.seed) if rng is None else rng)
     return _cloud_queries(point, cfg, _usable(point), *draws)
 
@@ -70,7 +67,7 @@ class TestNegativeQueries:
     def test_degenerate_ray_skipped(self):
         cfg = SamplingConfig(n_neg_per_point=2, seed=0)
         point = _point([1.0, 0.0, 0.0], [1.0, 0.0, 1e-8])
-        neg_q, pos_q, _, _ = _queries(point, cfg)
+        neg_q, pos_q, _ = _queries(point, cfg)
         assert len(neg_q) == len(pos_q) == 0 and not _usable(point).any()
         # its draws are still made, so later frames see the same stream
         assert _draw(point, cfg, np.random.default_rng(0))[0].shape == (1, 2)
@@ -79,14 +76,12 @@ class TestNegativeQueries:
 class TestPositiveQueries:
     def test_buffer_example(self):
         cfg = SamplingConfig(delta=0.4, n_pos_per_point=1, seed=0)
-        point = _point([10.0, 0.0, 0.0], [0.0, 0.0, 0.0], t=0.5, cls=7,
-                       feat=np.array([1.0, 2.0]))
-        _, pos_q, pos_cls, pos_feat = _queries(point, cfg, rng=_FixedRng(0.5))  # r = 0.2
+        point = _point([10.0, 0.0, 0.0], [0.0, 0.0, 0.0], t=0.5, cls=7)
+        _, pos_q, pos_cls = _queries(point, cfg, rng=_FixedRng(0.5))  # r = 0.2
         assert len(pos_q) == 1
         assert pos_q[0, 0] == pytest.approx(10.2, abs=1e-12)
         assert tuple(pos_q[0, 1:]) == (0.0, 0.0, 0.5)
         assert pos_cls.tolist() == [7]
-        np.testing.assert_array_equal(pos_feat, [[1.0, 2.0]])
 
     def test_behind_surface_within_delta(self):
         cfg = SamplingConfig(delta=0.4, n_pos_per_point=300, seed=5)
@@ -106,14 +101,13 @@ class TestPositiveQueries:
         assert _queries(point, cfg)[2].tolist() == [UNLABELED]
 
 
-def _grid_cloud(rng, n, t, cls=2, feat_dim=0):
+def _grid_cloud(rng, n, t, cls=2):
     origin = np.array([0.0, 0.0, 2.0])
     positions = rng.uniform(-10, 10, (n, 3))
     positions[:, 2] = 0.0
-    feats = rng.standard_normal((n, feat_dim)) if feat_dim else None
     return PointCloud(
         positions, np.broadcast_to(origin, (n, 3)).copy(), np.full(n, t),
-        np.full(n, cls, np.uint16), np.zeros(n, bool), feats,
+        np.full(n, cls, np.uint16), np.zeros(n, bool),
     )
 
 
@@ -175,7 +169,7 @@ class TestBuildQuerySet:
 
         moved = PointCloud(
             pose(cloud.positions), pose(cloud.origins), cloud.times,
-            cloud.class_ids, cloud.dynamic_flags, cloud.features,
+            cloud.class_ids, cloud.dynamic_flags,
         )
         a = build_query_set([moved], cfg)
         b = build_query_set([cloud], cfg)
@@ -183,17 +177,10 @@ class TestBuildQuerySet:
         np.testing.assert_array_equal(a.occupancy, b.occupancy)
 
 
-    def test_feature_dim_mismatch(self):
-        rng = np.random.default_rng(6)
-        clouds = [_grid_cloud(rng, 10, 0.0, feat_dim=1), _grid_cloud(rng, 10, 0.0, feat_dim=2)]
-        with pytest.raises(FeatureDimMismatchError):
-            build_query_set(clouds, SamplingConfig(seed=0))
-
 
 def _reference_build(clouds, cfg):
     """The query build before it wrote each query straight into its row:
     per-frame parts, concatenated, balanced by copies, then permuted."""
-    fdim = clouds[0].feature_dim
     rng = np.random.default_rng(cfg.seed)
     parts = []
     for pc in clouds:
@@ -218,54 +205,50 @@ def _reference_build(clouds, cfg):
             timed(neg, cfg.n_neg_per_point),
             timed(pos, cfg.n_pos_per_point),
             np.repeat(pc.class_ids[gi], cfg.n_pos_per_point),
-            np.repeat(pc.features[gi], cfg.n_pos_per_point, axis=0),
         ))
-    neg_q, pos_q, pos_cls, pos_feat = (np.concatenate(col) for col in zip(*parts))
+    neg_q, pos_q, pos_cls = (np.concatenate(col) for col in zip(*parts))
     m = min(len(neg_q), len(pos_q))
     if len(neg_q) > m:
         neg_q = neg_q[np.sort(rng.choice(len(neg_q), size=m, replace=False))]
     if len(pos_q) > m:
         keep = np.sort(rng.choice(len(pos_q), size=m, replace=False))
-        pos_q, pos_cls, pos_feat = pos_q[keep], pos_cls[keep], pos_feat[keep]
+        pos_q, pos_cls = pos_q[keep], pos_cls[keep]
     perm = rng.permutation(2 * m)
     return QueryBatch(
         np.concatenate([neg_q, pos_q])[perm],
         np.concatenate([np.zeros(m, np.uint8), np.ones(m, np.uint8)])[perm],
         np.concatenate([np.full(m, UNLABELED, np.uint16), pos_cls])[perm],
-        np.concatenate([np.zeros((m, fdim)), pos_feat])[perm],
     )
 
 
-def _mixed_clouds(feat_dim=0):
+def _mixed_clouds():
     """Three frames: one with a degenerate ray and points outside [-1, 1] s,
     one entirely outside it, and one with several classes."""
     rng = np.random.default_rng(8)
-    a = _grid_cloud(rng, 400, 0.0, feat_dim=feat_dim)
+    a = _grid_cloud(rng, 400, 0.0)
     times = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], 400)
     positions = a.positions.copy()
     positions[17], times[17] = a.origins[17], 0.0
-    a = PointCloud(positions, a.origins, times, a.class_ids, a.dynamic_flags, a.features)
-    b = _grid_cloud(rng, 300, 3.0, feat_dim=feat_dim)
-    c = _grid_cloud(rng, 500, 0.5, feat_dim=feat_dim)
-    c = PointCloud(c.positions, c.origins, c.times, rng.integers(0, 5, 500), c.dynamic_flags,
-                   c.features)
+    a = PointCloud(positions, a.origins, times, a.class_ids, a.dynamic_flags)
+    b = _grid_cloud(rng, 300, 3.0)
+    c = _grid_cloud(rng, 500, 0.5)
+    c = PointCloud(c.positions, c.origins, c.times, rng.integers(0, 5, 500), c.dynamic_flags)
     return [a, b, c]
 
 
 def _batch_bytes(batch):
-    columns = (batch.queries, batch.occupancy, batch.classes, batch.features)
+    columns = (batch.queries, batch.occupancy, batch.classes)
     return sum(col.nbytes for col in columns)
 
 
 class TestBuildMatchesReference:
     @pytest.mark.parametrize("counts", [(2, 2), (2, 3), (3, 2), (1, 4)])
-    @pytest.mark.parametrize("feat_dim", [0, 3])
-    def test_columns_bitwise_equal(self, counts, feat_dim):
+    def test_columns_bitwise_equal(self, counts):
         cfg = SamplingConfig(n_neg_per_point=counts[0], n_pos_per_point=counts[1],
                              t_min=-1.0, t_max=1.0, seed=4)
-        clouds = _mixed_clouds(feat_dim)
+        clouds = _mixed_clouds()
         got, ref = build_query_set(clouds, cfg), _reference_build(clouds, cfg)
-        for name in ("queries", "occupancy", "classes", "features"):
+        for name in ("queries", "occupancy", "classes"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
@@ -338,15 +321,31 @@ class TestBatchIO:
         n = 64
         occ = rng.integers(0, 2, n).astype(np.uint8)
         cls = np.where(occ == 1, rng.integers(0, 4, n), UNLABELED).astype(np.uint16)
-        feats = np.where(occ[:, None] == 1, rng.integers(-100, 100, (n, 3)) / 16.0, 0.0)
-        batch = QueryBatch(rng.integers(-500, 500, (n, 4)) / 32.0, occ, cls, feats)
+        batch = QueryBatch(rng.integers(-500, 500, (n, 4)) / 32.0, occ, cls)
         buf = io.BytesIO()
         write_query_batch(batch, buf)
         back = read_query_batch(io.BytesIO(buf.getvalue()))
         np.testing.assert_array_equal(back.queries, batch.queries)
         np.testing.assert_array_equal(back.occupancy, batch.occupancy)
         np.testing.assert_array_equal(back.classes, batch.classes)
-        np.testing.assert_array_equal(back.features, batch.features)
+
+    def test_write_holds_at_most_two_payloads(self):
+        # the record array and the stream's buffer, and no third copy
+        n = 200_000
+        rng = np.random.default_rng(11)
+        occ = (np.arange(n) % 2).astype(np.uint8)
+        batch = QueryBatch(rng.uniform(-9, 9, (n, 4)), occ, np.where(occ == 1, 1, UNLABELED))
+        buf = io.BytesIO()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_query_batch(batch, buf)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        payload = 19 * n  # query <f4[4], occ u1, class <u2
+        assert len(buf.getvalue()) == 4 + 14 + payload
+        assert peak < 2.2 * payload, peak / payload
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
