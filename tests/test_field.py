@@ -218,15 +218,17 @@ class TestForward:
 
 class TestInference:
     @pytest.mark.parametrize("widths", [(12, 12), (12, 7)])
-    def test_bitwise_equal_to_training_forward(self, widths):
+    @pytest.mark.parametrize("extra_classes", [0, 2])  # a head of 4 or 6 columns
+    def test_bitwise_equal_to_training_forward(self, extra_classes, widths):
         rng = np.random.default_rng(4)
-        base = _randomize(_small_model(), rng)
+        n_classes = 3 + extra_classes
+        base = _randomize(_small_model(n_classes=n_classes), rng)
         sizes = [base.layer_sizes[0], *widths, base.layer_sizes[-1]]
         layers = [
             (rng.standard_normal((i, o)) * 0.5, rng.standard_normal(o) * 0.1)
             for i, o in zip(sizes, sizes[1:])
         ]
-        model = FieldModel(base.grid, layers, base.fourier, 3)
+        model = FieldModel(base.grid, layers, base.fourier, n_classes)
         q = _random_batch(rng, 300).queries
         occ_logit, sem_logits, _ = _forward_raw(model, q)
         occ_p, sem_p = forward_batch(model, q)
@@ -274,15 +276,17 @@ class TestInference:
 
 class TestTrainingForward:
     @pytest.mark.parametrize("widths", [(12, 12), (12, 7)])
-    def test_forward_and_backward_equal_allocating_reference(self, widths):
+    @pytest.mark.parametrize("extra_classes", [0, 2])  # a head of 4 or 6 columns
+    def test_forward_and_backward_equal_allocating_reference(self, extra_classes, widths):
         rng = np.random.default_rng(16)
-        base = _randomize(_small_model(), rng)
+        n_classes = 3 + extra_classes
+        base = _randomize(_small_model(n_classes=n_classes), rng)
         sizes = [base.layer_sizes[0], *widths, base.layer_sizes[-1]]
         layers = [
             (rng.standard_normal((i, o)) * 0.5, rng.standard_normal(o) * 0.1)
             for i, o in zip(sizes, sizes[1:])
         ]
-        model = FieldModel(base.grid, layers, base.fourier, 3)
+        model = FieldModel(base.grid, layers, base.fourier, n_classes)
         q = _random_batch(rng, 700).queries  # more than one squareplus block
         ref = _reference_forward(model, q)
         got = _forward_raw(model, q)

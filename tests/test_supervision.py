@@ -221,9 +221,10 @@ def _reference_build(clouds, cfg):
     )
 
 
-def _mixed_clouds():
+def _mixed_clouds(extra_degenerate=0):
     """Three frames: one with a degenerate ray and points outside [-1, 1] s,
-    one entirely outside it, and one with several classes."""
+    one entirely outside it, and one with several classes whose first
+    `extra_degenerate` rays are degenerate."""
     rng = np.random.default_rng(8)
     a = _grid_cloud(rng, 400, 0.0)
     times = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], 400)
@@ -232,7 +233,9 @@ def _mixed_clouds():
     a = PointCloud(positions, a.origins, times, a.class_ids, a.dynamic_flags)
     b = _grid_cloud(rng, 300, 3.0)
     c = _grid_cloud(rng, 500, 0.5)
-    c = PointCloud(c.positions, c.origins, c.times, rng.integers(0, 5, 500), c.dynamic_flags)
+    positions = c.positions.copy()
+    positions[:extra_degenerate] = c.origins[:extra_degenerate]
+    c = PointCloud(positions, c.origins, c.times, rng.integers(0, 5, 500), c.dynamic_flags)
     return [a, b, c]
 
 
@@ -243,10 +246,11 @@ def _batch_bytes(batch):
 
 class TestBuildMatchesReference:
     @pytest.mark.parametrize("counts", [(2, 2), (2, 3), (3, 2), (1, 4)])
-    def test_columns_bitwise_equal(self, counts):
+    @pytest.mark.parametrize("extra_degenerate", [0, 3])
+    def test_columns_bitwise_equal(self, counts, extra_degenerate):
         cfg = SamplingConfig(n_neg_per_point=counts[0], n_pos_per_point=counts[1],
                              t_min=-1.0, t_max=1.0, seed=4)
-        clouds = _mixed_clouds()
+        clouds = _mixed_clouds(extra_degenerate)
         got, ref = build_query_set(clouds, cfg), _reference_build(clouds, cfg)
         for name in ("queries", "occupancy", "classes"):
             a, b = getattr(got, name), getattr(ref, name)
