@@ -90,7 +90,7 @@ def _load_scan_clouds(cfg: RunConfig):
 def cmd_queries(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
     _, clouds = _load_scan_clouds(cfg)
-    sampling = supervision.SamplingConfig(seed=seed, **cfg.sampling)
+    sampling = dataclasses.replace(cfg.sampling, seed=seed)
     batch = supervision.build_query_set(clouds, sampling)
     report = supervision.validate_against_oracle(batch, scene)
     _atomic_write(cfg.output_dir / "queries.qoqs", lambda f: supervision.write_query_batch(batch, f))

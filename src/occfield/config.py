@@ -1,9 +1,11 @@
 """Plain-text configuration: INI-style key/value files with [section] blocks.
 
-Unknown sections or keys are hard errors.  Scene files declare one primitive
-per block ([slab:NAME], [box:NAME], [cylinder:NAME]); scan files describe the
-sensor trajectory and ray grid; run files tie everything together for the
-command-line pipeline.
+Each section fills one dataclass: its keys are that dataclass's fields, each
+parsed as its annotation says, and the dataclass checks their values when it
+is built.  Unknown sections or keys are hard errors.  Scene files declare one
+primitive per block ([slab:NAME], [box:NAME], [cylinder:NAME]); scan files
+describe the sensor trajectory and ray grid; run files tie everything together
+for the command-line pipeline.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .field import TrainConfig
-from .pointcloud import ClassTable, read_class_table
-from .scene import Box, Cylinder, GroundSlab, SceneSpec, ScanSpec
+from .pointcloud import read_class_table
+from .scene import Box, Cylinder, GroundSlab, SceneSpec, ScanSpec, VoxelVolume
 from .supervision import SamplingConfig
 
 __all__ = [
@@ -68,115 +70,143 @@ def _floats(raw: str, n: int | None = None) -> tuple[float, ...]:
     return vals
 
 
-def _vec2(raw: str) -> tuple[float, ...]:
-    return _floats(raw, 2)
+_PARSERS = {  # a field's INI parser by its annotation
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": _floats,
+    "tuple[float, float]": lambda raw: _floats(raw, 2),
+    "tuple[float, float, float]": lambda raw: _floats(raw, 3),
+}
 
 
-def _vec3(raw: str) -> tuple[float, ...]:
-    return _floats(raw, 3)
+def _fields(cls, skip=(), **renamed) -> tuple[dict, dict, list]:
+    """The INI keys of the fields of ``cls`` but ``skip``: ({key: field name},
+    {key: parser}, required keys).  A key is its field's name unless
+    ``renamed`` gives another, its parser follows the field's annotation, and
+    the keys of the fields without a default are required."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    keys = [renamed.get(f.name, f.name) for f in fields]
+    return (
+        {key: f.name for key, f in zip(keys, fields)},
+        {key: _PARSERS[f.type] for key, f in zip(keys, fields)},
+        [key for key, f in zip(keys, fields) if f.default is f.default_factory is dataclasses.MISSING],
+    )
+
+
+def _kwargs(path: Path, cp, section: str, cls, skip=(), **renamed) -> dict:
+    """The values of ``[section]``, which may be absent, as keyword arguments of ``cls``."""
+    names, known, required = _fields(cls, skip, **renamed)
+    items = dict(cp.items(section)) if cp.has_section(section) else {}
+    return {names[key]: v for key, v in _values(path, section, items, known, required).items()}
+
+
+def _build(path: Path, cls, kwargs: dict, section: str | None = None):
+    """``cls(**kwargs)``: the dataclasses check their own values, and a value
+    they reject is a ConfigError naming the file and ``section``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        where = f"[{section}]: " if section else ""
+        raise ConfigError(f"{path}: {where}{e}") from None
 
 
 _SCENE_KEYS = {"bounds": float, "classes": str}
-_SLAB_KEYS = {"class": int, "z_min": float, "z_max": float, "velocity": _vec3}
-_BOX_KEYS = {"class": int, "center": _vec3, "size": _vec3, "velocity": _vec3}
-_CYL_KEYS = {
-    "class": int, "center": _vec2, "radius": float,
-    "z_min": float, "z_max": float, "velocity": _vec3,
-}
+_PRIMITIVES = {"slab": GroundSlab, "box": Box, "cylinder": Cylinder}
 
 
 def read_scene_file(path) -> SceneSpec:
     path = Path(path)
     cp = _parser(path)
-    bounds = 50.0
-    classes: ClassTable | None = None
-    primitives = []
+    scene: dict = {"primitives": []}
     for section in cp.sections():
-        items = dict(cp.items(section))
+        kind, colon, _ = section.partition(":")
         if section == "scene":
-            v = _values(path, section, items, _SCENE_KEYS)
-            bounds = v.get("bounds", bounds)
+            v = _values(path, section, dict(cp.items(section)), _SCENE_KEYS)
+            if "bounds" in v:
+                scene["bounds"] = v["bounds"]
             if "classes" in v:
                 class_path = path.parent / v["classes"]
                 try:
-                    classes = read_class_table(class_path)
+                    scene["classes"] = read_class_table(class_path)
                 except ValueError as e:
                     raise ConfigError(f"{class_path}: {e}") from None
-        elif section.startswith("slab:"):
-            v = _values(path, section, items, _SLAB_KEYS, ("class", "z_min", "z_max"))
-            primitives.append(GroundSlab(
-                z_min=v["z_min"], z_max=v["z_max"], class_id=v["class"],
-                velocity=v.get("velocity", (0.0, 0.0, 0.0)),
-            ))
-        elif section.startswith("box:"):
-            v = _values(path, section, items, _BOX_KEYS, ("class", "center", "size"))
-            primitives.append(Box(
-                center=v["center"], size=v["size"], class_id=v["class"],
-                velocity=v.get("velocity", (0.0, 0.0, 0.0)),
-            ))
-        elif section.startswith("cylinder:"):
-            v = _values(
-                path, section, items, _CYL_KEYS, ("class", "center", "radius", "z_min", "z_max")
-            )
-            primitives.append(Cylinder(
-                center=v["center"], radius=v["radius"], z_min=v["z_min"], z_max=v["z_max"],
-                class_id=v["class"], velocity=v.get("velocity", (0.0, 0.0, 0.0)),
-            ))
+        elif colon and kind in _PRIMITIVES:
+            cls = _PRIMITIVES[kind]
+            kw = _kwargs(path, cp, section, cls, class_id="class")
+            scene["primitives"].append(_build(path, cls, kw, section))
         else:
             raise ConfigError(f"{path}: unknown section [{section}]")
-    try:
-        return SceneSpec(tuple(primitives), bounds, classes)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}")
-
-
-_SCAN_KEYS = {"timesteps": _floats, "max_range": float, "noise_sigma": float}
-_ORIGIN_KEYS = {"start": _vec3, "velocity": _vec3}
-_RAY_KEYS = {
-    "azimuth_count": int, "elevation_count": int,
-    "elevation_min": float, "elevation_max": float,
-    "azimuth_min": float, "azimuth_max": float,
-}
+    return _build(path, SceneSpec, scene)
 
 
 def read_scan_file(path) -> ScanSpec:
+    """[origin] sets the ``origin_`` fields of ScanSpec, [rays] the
+    ``azimuth_`` and ``elevation_`` ones and [scan] the rest."""
     path = Path(path)
     cp = _parser(path)
-    kw: dict = {}
+    section_of = {
+        f.name: "origin" if f.name.startswith("origin_")
+        else "rays" if f.name.startswith(("azimuth_", "elevation_")) else "scan"
+        for f in dataclasses.fields(ScanSpec)
+    }
     for section in cp.sections():
-        items = dict(cp.items(section))
-        if section == "scan":
-            kw.update(_values(path, section, items, _SCAN_KEYS))
-        elif section == "origin":
-            v = _values(path, section, items, _ORIGIN_KEYS)
-            if "start" in v:
-                kw["origin_start"] = v["start"]
-            if "velocity" in v:
-                kw["origin_velocity"] = v["velocity"]
-        elif section == "rays":
-            kw.update(_values(path, section, items, _RAY_KEYS))
-        else:
+        if section not in section_of.values():
             raise ConfigError(f"{path}: unknown section [{section}]")
-    if "timesteps" not in kw or "origin_start" not in kw:
-        raise ConfigError(f"{path}: scan needs [scan] timesteps and [origin] start")
-    try:
-        return ScanSpec(**kw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}")
+    keys = {name: name.removeprefix("origin_") for name in section_of}
+    kw: dict = {}
+    for section in ("scan", "origin", "rays"):
+        skip = [name for name, s in section_of.items() if s != section]
+        kw.update(_kwargs(path, cp, section, ScanSpec, skip, **keys))
+    return _build(path, ScanSpec, kw)
 
 
 @dataclasses.dataclass(frozen=True)
 class GridConfig:
-    mins: tuple[float, float, float]
-    maxs: tuple[float, float, float]
-    cell_size: float
+    """The ``[grid]`` section: the eval volume, a whole number of cells per axis."""
+
+    x_min: float = -20.0
+    x_max: float = 20.0
+    y_min: float = -20.0
+    y_max: float = 20.0
+    z_min: float = -2.0
+    z_max: float = 2.0
+    cell_size: float = 0.4
+
+    @property
+    def mins(self) -> tuple[float, float, float]:
+        return (self.x_min, self.y_min, self.z_min)
+
+    @property
+    def maxs(self) -> tuple[float, float, float]:
+        return (self.x_max, self.y_max, self.z_max)
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (*self.mins, *self.maxs, self.cell_size)):
+            raise ValueError("values must be finite")
+        if self.cell_size <= 0:
+            raise ValueError("cell_size must be positive")
+        if any(lo >= hi for lo, hi in zip(self.mins, self.maxs)):
+            raise ValueError("every min must lie below its max")
+        VoxelVolume.dims_of(self.mins, self.maxs, self.cell_size)
 
 
 @dataclasses.dataclass(frozen=True)
 class MetricsConfig:
+    """The ``[metrics]`` section: the occupancy threshold and RayIoU's rays."""
+
     occ_threshold: float = 0.5
     tolerances: tuple[float, ...] = (1.0, 2.0, 4.0)
     ray_source: str = "scan"  # or "surface"
+
+    def __post_init__(self):
+        if self.ray_source not in ("scan", "surface"):
+            raise ValueError("ray_source must be 'scan' or 'surface'")
+        if not 0.0 <= self.occ_threshold <= 1.0:  # NaN fails this too
+            raise ValueError("occ_threshold must lie in [0, 1]")
+        taus = self.tolerances  # 0 < tau_1 < ... < tau_n < inf fails on NaN too
+        if not taus or not all(a < b for a, b in zip((0.0, *taus), (*taus, math.inf))):
+            raise ValueError("tolerances must be finite, positive and increasing")
 
 
 @dataclasses.dataclass
@@ -185,93 +215,41 @@ class RunConfig:
     scan_path: Path
     output_dir: Path
     seed: int | None
-    sampling: dict
+    sampling: SamplingConfig  # its seed is the run's, set by the command
     train: TrainConfig
     grid: GridConfig
     metrics: MetricsConfig
 
 
 _RUN_KEYS = {"scene": str, "scan": str, "output_dir": str, "seed": int}
-_SAMPLING_KEYS = {
-    "delta": float, "n_neg_per_point": int, "n_pos_per_point": int,
-    "t_min": float, "t_max": float,
+# each other section of a run file, the dataclass it fills and the fields it skips
+_RUN_SECTIONS = {
+    "sampling": (SamplingConfig, ("seed",)),
+    "train": (TrainConfig, ("seed", "class_weights")),
+    "grid": (GridConfig, ()),
+    "metrics": (MetricsConfig, ()),
 }
-# every TrainConfig field but the run's seed and class weights, parsed as the
-# type of its default
-_TRAIN_KEYS = {
-    f.name: type(f.default) for f in dataclasses.fields(TrainConfig)
-    if f.name not in ("seed", "class_weights")
-}
-_GRID_KEYS = {
-    "x_min": float, "x_max": float, "y_min": float, "y_max": float,
-    "z_min": float, "z_max": float, "cell_size": float,
-}
-_METRICS_KEYS = {"occ_threshold": float, "tolerances": _floats, "ray_source": str}
 
 
 def read_run_config(path) -> RunConfig:
     path = Path(path)
     cp = _parser(path)
-    known_sections = {"run", "sampling", "train", "grid", "metrics"}
     for section in cp.sections():
-        if section not in known_sections:
+        if section != "run" and section not in _RUN_SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
     if not cp.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
 
     run = _values(path, "run", dict(cp.items("run")), _RUN_KEYS, ("scene", "scan", "output_dir"))
+    sections = {
+        section: _build(path, cls, _kwargs(path, cp, section, cls, skip), section)
+        for section, (cls, skip) in _RUN_SECTIONS.items()
+    }
     base = path.parent
-
-    def values_of(name: str, known: dict) -> dict:
-        return _values(path, name, dict(cp.items(name)), known) if cp.has_section(name) else {}
-
-    def checked(where: str, build):
-        """``build()``; the types the commands build check their own values."""
-        try:
-            return build()
-        except ValueError as e:
-            raise ConfigError(f"{path}: {where}: {e}") from None
-
-    sampling = values_of("sampling", _SAMPLING_KEYS)
-    train = checked("[train]", lambda: TrainConfig(**values_of("train", _TRAIN_KEYS)))
-
-    g = values_of("grid", _GRID_KEYS)
-    grid = GridConfig(
-        (g.get("x_min", -20.0), g.get("y_min", -20.0), g.get("z_min", -2.0)),
-        (g.get("x_max", 20.0), g.get("y_max", 20.0), g.get("z_max", 2.0)),
-        g.get("cell_size", 0.4),
-    )
-    if not all(math.isfinite(x) for x in (*grid.mins, *grid.maxs, grid.cell_size)):
-        raise ConfigError(f"{path}: [grid] values must be finite")
-    if grid.cell_size <= 0:
-        raise ConfigError(f"{path}: [grid] cell_size must be positive")
-    if any(lo >= hi for lo, hi in zip(grid.mins, grid.maxs)):
-        raise ConfigError(f"{path}: [grid] every min must lie below its max")
-
-    m = values_of("metrics", _METRICS_KEYS)
-    metrics = MetricsConfig(
-        occ_threshold=m.get("occ_threshold", 0.5),
-        tolerances=m.get("tolerances", (1.0, 2.0, 4.0)),
-        ray_source=m.get("ray_source", "scan"),
-    )
-    if metrics.ray_source not in ("scan", "surface"):
-        raise ConfigError(f"{path}: ray_source must be 'scan' or 'surface'")
-    if not 0.0 <= metrics.occ_threshold <= 1.0:  # NaN fails this too
-        raise ConfigError(f"{path}: occ_threshold must lie in [0, 1]")
-    taus = metrics.tolerances
-    increasing = all(a < b for a, b in zip(taus, taus[1:]))
-    if not taus or not increasing or not all(0 < t < math.inf for t in taus):
-        raise ConfigError(f"{path}: tolerances must be finite, positive and increasing")
-
-    checked("[sampling]", lambda: SamplingConfig(**sampling))
-
     return RunConfig(
         scene_path=base / run["scene"],
         scan_path=base / run["scan"],
         output_dir=base / run["output_dir"],
         seed=run.get("seed"),
-        sampling=sampling,
-        train=train,
-        grid=grid,
-        metrics=metrics,
+        **sections,
     )

@@ -137,14 +137,9 @@ def predict_volume(
 
     The class is the semantic argmax (lowest index wins ties).
     """
-    mins = np.asarray(mins, dtype=np.float64)
-    maxs = np.asarray(maxs, dtype=np.float64)
-    dims = np.round((maxs - mins) / cell_size).astype(int)
-    if np.any(dims < 1) or np.any(np.abs(mins + dims * cell_size - maxs) > 1e-6):
-        raise ValueError("extents must be a positive whole number of cells")
-    vol = VoxelVolume(np.full(dims, FREE, dtype=np.int32), mins, cell_size, time)
+    vol = VoxelVolume.free(mins, maxs, cell_size)
     centers = vol.centers().reshape(-1, 3)
-    labels = np.full(len(centers), FREE, dtype=np.int32)
+    labels = vol.labels.reshape(-1)  # a view: the chunks fill the volume
     for lo in range(0, len(centers), _CHUNK):
         hi = min(lo + _CHUNK, len(centers))
         q = np.concatenate([centers[lo:hi], np.full((hi - lo, 1), time)], axis=1)
@@ -152,7 +147,6 @@ def predict_volume(
         occupied = occ_p >= occ_threshold
         cls = np.argmax(sem_p, axis=1).astype(np.int32)
         labels[lo:hi] = np.where(occupied, cls, FREE)
-    vol.labels = labels.reshape(vol.dims)
     return vol
 
 

@@ -38,8 +38,22 @@ FREE = -1  # label value for unoccupied voxels
 _ZERO3 = (0.0, 0.0, 0.0)
 
 
+class _Solid:
+    """The checks every primitive makes when built, each naming its key."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite")
+        for key in ("size", "radius"):
+            if np.min(getattr(self, key, 1.0)) <= 0:
+                raise ValueError(f"{key} must be positive")
+        if getattr(self, "z_min", 0.0) > getattr(self, "z_max", 0.0):
+            raise ValueError("z_max must not lie below z_min")
+
+
 @dataclasses.dataclass(frozen=True)
-class Box:
+class Box(_Solid):
     """Axis-aligned box, optionally translating at constant velocity."""
 
     center: tuple[float, float, float]
@@ -49,7 +63,7 @@ class Box:
 
 
 @dataclasses.dataclass(frozen=True)
-class GroundSlab:
+class GroundSlab(_Solid):
     """Horizontal slab infinite in x and y."""
 
     z_min: float
@@ -59,7 +73,7 @@ class GroundSlab:
 
 
 @dataclasses.dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Solid):
     """Vertical cylinder over [z_min, z_max]."""
 
     center: tuple[float, float]  # x, y
@@ -83,8 +97,8 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "primitives", tuple(self.primitives))
-        if self.bounds <= 0:
-            raise ValueError("bounds must be positive")
+        if not 0 < self.bounds < np.inf:  # NaN fails this too
+            raise ValueError("bounds must be positive and finite")
         if self.classes is not None:
             for p in self.primitives:
                 if not (0 <= p.class_id < self.classes.n_classes):
@@ -128,9 +142,12 @@ class ScanSpec:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.timesteps)
+        object.__setattr__(self, "timesteps", ts)
+        for f in dataclasses.fields(self):  # max_range may be inf, checked below
+            if f.name != "max_range" and not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite")
         if len(ts) == 0 or np.any(np.diff(ts) <= 0):
             raise ValueError("timesteps must be non-empty and strictly increasing")
-        object.__setattr__(self, "timesteps", ts)
         if not self.max_range > 0:  # NaN fails this too; inf means no limit
             raise ValueError("max_range must be positive")
         if not 0 <= self.noise_sigma < np.inf:  # NaN fails this too
@@ -283,13 +300,7 @@ def raycast_scan(
 class VoxelVolume:
     """Dense labeled voxel grid; ``labels`` holds FREE or a class id."""
 
-    def __init__(
-        self,
-        labels: np.ndarray,
-        mins: np.ndarray,
-        cell_size: float,
-        reference_time: float = 0.0,
-    ):
+    def __init__(self, labels: np.ndarray, mins: np.ndarray, cell_size: float):
         self.labels = np.asarray(labels, dtype=np.int32)
         if self.labels.ndim != 3:
             raise ValueError("labels must be a 3-d grid")
@@ -297,7 +308,21 @@ class VoxelVolume:
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.cell_size = float(cell_size)
-        self.reference_time = float(reference_time)
+
+    @staticmethod
+    def dims_of(mins, maxs, cell_size: float) -> tuple[int, int, int]:
+        """Cells per axis between ``mins`` and ``maxs``, each extent a positive
+        whole number of cells."""
+        mins, maxs = np.asarray(mins, dtype=np.float64), np.asarray(maxs, dtype=np.float64)
+        dims = np.round((maxs - mins) / cell_size).astype(int)
+        if np.any(dims < 1) or np.any(np.abs(mins + dims * cell_size - maxs) > 1e-6):
+            raise ValueError("extents must be a positive whole number of cells")
+        return tuple(dims)
+
+    @classmethod
+    def free(cls, mins, maxs, cell_size: float) -> "VoxelVolume":
+        """An all-free volume from ``mins`` to ``maxs``."""
+        return cls(np.full(cls.dims_of(mins, maxs, cell_size), FREE, dtype=np.int32), mins, cell_size)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -336,12 +361,7 @@ def voxelize_ground_truth(
     time: float = 0.0,
 ) -> VoxelVolume:
     """Label every cell by the oracle at its center at the given time."""
-    mins = np.asarray(mins, dtype=np.float64)
-    maxs = np.asarray(maxs, dtype=np.float64)
-    dims = np.round((maxs - mins) / cell_size).astype(int)
-    if np.any(dims < 1) or np.any(np.abs(mins + dims * cell_size - maxs) > 1e-6):
-        raise ValueError("extents must be a positive whole number of cells")
-    vol = VoxelVolume(np.full(dims, FREE, dtype=np.int32), mins, cell_size, time)
+    vol = VoxelVolume.free(mins, maxs, cell_size)
     centers = vol.centers().reshape(-1, 3)
     _, labels = oracle_query_batch(scene, centers, np.full(len(centers), time))
     vol.labels = labels.reshape(vol.dims)

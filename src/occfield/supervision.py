@@ -45,10 +45,10 @@ class SamplingConfig:
     def __post_init__(self):
         if not 0 < self.delta < np.inf:  # NaN fails this too
             raise ValueError("delta must be positive and finite")
-        if self.n_neg_per_point < 0 or self.n_pos_per_point < 0:
-            raise ValueError("per-point counts must be non-negative")
-        if not (self.t_min <= 0.0 <= self.t_max):
-            raise ValueError("temporal window must contain the reference time 0")
+        if min(self.n_neg_per_point, self.n_pos_per_point) < 1:  # else balancing keeps nothing
+            raise ValueError("n_neg_per_point and n_pos_per_point must be at least 1")
+        if not (self.t_min <= 0.0 <= self.t_max):  # NaN fails this too
+            raise ValueError("temporal window [t_min, t_max] must contain the reference time 0")
 
 
 class QueryBatch:

@@ -231,7 +231,6 @@ def test_non_finite_query_is_a_validation_error(tmp_path, capsys, coordinate):
 
 # Functions that no command reaches on purpose, each with its reason.
 UNREACHED = {
-    "config._vec2": "reads a cylinder center; the scene here has no cylinder",
     "errors.TrainingDivergedError.__init__": "the divergence path, see test_divergence_exits_4",
     "field.loss": "perfbench's gradient check calls it",
     "supervision.QueryBatch.take": "perfbench's gradient check calls it",

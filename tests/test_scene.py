@@ -265,6 +265,14 @@ class TestRaycast:
 
 
 class TestVoxelize:
+    def test_free_volume_spans_its_extents(self):
+        vol = VoxelVolume.free((-0.4, 0.0, 1.0), (0.4, 0.4, 2.2), 0.4)
+        assert vol.dims == (2, 1, 3) and not vol.occupancy.any()
+        np.testing.assert_allclose(vol.maxs, (0.4, 0.4, 2.2))
+        for maxs in ((0.5, 0.4, 2.2), (-0.4, 0.4, 2.2)):  # not a whole cell; no cell
+            with pytest.raises(ValueError, match="whole number of cells"):
+                VoxelVolume.free((-0.4, 0.0, 1.0), maxs, 0.4)
+
     def test_empty_scene_all_free(self):
         vol = voxelize_ground_truth(SceneSpec((), 10.0), (-2, -2, 0), (2, 2, 2), 0.5)
         assert not vol.occupancy.any()
