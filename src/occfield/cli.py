@@ -79,19 +79,15 @@ def cmd_scan(cfg: RunConfig, seed: int) -> None:
     print(f"scan: wrote {len(scan.timesteps)} clouds, {len(cloud)} points total")
 
 
-def _load_scan_clouds(cfg: RunConfig):
-    scan = read_scan_file(cfg.scan_path)
-    clouds = []
-    for i in range(len(scan.timesteps)):
-        clouds.append(read_pointcloud(_scan_cloud_path(cfg.output_dir, i)))
-    return scan, clouds
+def _load_scan_clouds(cfg: RunConfig) -> list[PointCloud]:
+    n_frames = len(read_scan_file(cfg.scan_path).timesteps)
+    return [read_pointcloud(_scan_cloud_path(cfg.output_dir, i)) for i in range(n_frames)]
 
 
 def cmd_queries(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
-    _, clouds = _load_scan_clouds(cfg)
     sampling = dataclasses.replace(cfg.sampling, seed=seed)
-    batch = supervision.build_query_set(clouds, sampling)
+    batch = supervision.build_query_set(_load_scan_clouds(cfg), sampling)
     report = supervision.validate_against_oracle(batch, scene)
     _atomic_write(cfg.output_dir / "queries.qoqs", lambda f: supervision.write_query_batch(batch, f))
     _atomic_write(
@@ -125,9 +121,8 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
         batch = supervision.read_query_batch(cfg.output_dir / "queries.qoqs")
         model, history = field.train(model, batch, tc)
     else:
-        _, clouds = _load_scan_clouds(cfg)
-        merged = PointCloud.concat(clouds)
-        rays = field.rays_from_pointcloud(merged)
+        clouds = [cfg.sampling.window(pc) for pc in _load_scan_clouds(cfg)]
+        rays = field.rays_from_pointcloud(PointCloud.concat(clouds))
         model, history = field.train_rendering_baseline(model, rays, tc)
     _atomic_write(cfg.output_dir / "model.qofm", lambda f: field.write_field_model(model, f))
     _atomic_write(cfg.output_dir / "loss.csv", lambda f: field.write_loss_csv(history, f))
@@ -152,20 +147,16 @@ def cmd_eval(cfg: RunConfig, seed: int) -> None:
         rays = metrics.rays_to_gt_surface(gt, origin, cfg.metrics.tolerances)
     vox = metrics.iou(pred, gt, scene.classes)
     ray = metrics.ray_iou(pred, gt, rays, scene.classes)
-    rep = dataclasses.replace(
-        ray, n_classes=vox.n_classes, iou_per_class=vox.iou_per_class, iou_defined=vox.iou_defined,
-        mean_iou=vox.mean_iou, dynamic_mean_iou=vox.dynamic_mean_iou, occupancy_iou=vox.occupancy_iou,
-    )
     _atomic_write(
         cfg.output_dir / "metrics.csv",
-        lambda f: metrics.write_metrics_csv(rep, f, scene.classes),
+        lambda f: metrics.write_metrics_csv(vox, ray, f, scene.classes),
     )
     _atomic_write(
         cfg.output_dir / "ray_counts.csv",
         lambda f: metrics.write_ray_counts_csv(ray, f, scene.classes),
     )
     print("eval: mean_iou,dyn_iou,occ_iou,mean_rayiou,dyn_rayiou,occ_rayiou")
-    print("eval: " + metrics.summary_line(rep))
+    print("eval: " + metrics.summary_line(vox, ray))
 
 
 def cmd_inspect_geometry(cfg: RunConfig, seed: int) -> None:

@@ -32,7 +32,7 @@ from .bev import BevGrid, bilinear_setup
 from .errors import EmptyBatchError, TrainingDivergedError
 from .geometry import ContractionParams, FourierConfig, fourier_encode_batch
 from .pointcloud import UNLABELED, PointCloud
-from .supervision import QueryBatch
+from .supervision import QueryBatch, _usable
 
 __all__ = [
     "FieldModel",
@@ -578,20 +578,17 @@ class RaySupervision:
 
 
 def rays_from_pointcloud(pc: PointCloud) -> RaySupervision:
-    """Turn scan returns into rendering supervision (one ray per point)."""
+    """Turn scan returns into rendering supervision: one ray per point that
+    gives queries (see ``supervision._usable``)."""
+    good = _usable(pc)
+    if not good.all():
+        pc = pc.take(np.flatnonzero(good))
     d = pc.positions - pc.origins
     depths = np.linalg.norm(d, axis=1)
-    good = depths > 1e-9
-    return RaySupervision(
-        pc.origins[good],
-        d[good] / depths[good, None],
-        depths[good],
-        pc.class_ids[good].copy(),
-        pc.times[good].copy(),
-    )
+    return RaySupervision(pc.origins, d / depths[:, None], depths, pc.class_ids, pc.times)
 
 
-def _composite(depths, occ, sem):
+def _composite(depths, occ, sem=None):
     """Alpha-composite sorted samples along each ray (leading axis).
 
     Returns (trans, w, mass_eff, guarded, depth, sem): transmittance before
@@ -599,7 +596,8 @@ def _composite(depths, occ, sem):
     w_i = T_i o_i, the normalizing opacity mass floored at ``RENDER_EPS``,
     the rays where that floor is active (nearly transparent rays, whose
     rendered depth and semantics shrink toward zero), and the rendered depth
-    and semantic probabilities, each normalized by the floored mass.
+    and semantic probabilities, each normalized by the floored mass.  Without
+    ``sem`` the rendered semantics are None.
     """
     trans = np.concatenate(
         [np.ones((len(depths), 1)), np.cumprod(1.0 - occ, axis=1)], axis=1
@@ -609,7 +607,7 @@ def _composite(depths, occ, sem):
     guarded = mass < RENDER_EPS
     mass_eff = np.maximum(mass, RENDER_EPS)
     depth_r = (w * depths).sum(axis=1) / mass_eff
-    sem_r = (w[:, :, None] * sem).sum(axis=1) / mass_eff[:, None]
+    sem_r = None if sem is None else (w[:, :, None] * sem).sum(axis=1) / mass_eff[:, None]
     return trans, w, mass_eff, guarded, depth_r, sem_r
 
 
@@ -686,10 +684,7 @@ def train_rendering_baseline(
         # coarse pass, cached, to place importance samples
         q = _ray_queries(org, dirs, times, np.broadcast_to(coarse, (b, nc)))
         occ_c = _sigmoid(_forward_raw(model, q, work)[0]).reshape(b, -1)
-        trans_c = np.cumprod(1.0 - occ_c, axis=1)
-        w_coarse = np.concatenate([np.ones((b, 1)), trans_c[:, :-1]], axis=1) * occ_c
-        mass_c = np.maximum(w_coarse.sum(axis=1), RENDER_EPS)
-        d_pred = (w_coarse * coarse[None, :]).sum(axis=1) / mass_c
+        d_pred = _composite(np.broadcast_to(coarse, (b, nc)), occ_c)[4]
         if not np.isfinite(d_pred).all():  # the fine depths would not be finite
             raise TrainingDivergedError(index)
 

@@ -1,9 +1,15 @@
 """Voxel prediction and metrics: per-class IoU and first-hit RayIoU.
 
-RayIoU marches each ray to the first occupied voxel in ground truth and
-prediction; a ray counts as a class-c true positive at tolerance tau when
-both hit with matching class c and entry depths within tau.  Per-class
-values are averaged over the tolerance set.
+Both scores come from one (classes, tolerances, [TP, FP, FN]) count table
+plus an occupancy row per tolerance.  An item is a voxel for IoU and a ray
+for RayIoU; it is a class-c true positive when ground truth and prediction
+are both on, match, and both say c.  FP is the predicted count of c minus TP
+and FN the ground-truth count of c minus TP; the occupancy row counts the
+same way without classes.  Voxels match where they are the same voxel, with
+one tolerance; RayIoU marches each ray to the first occupied voxel in ground
+truth and prediction, and the two hits match at tolerance tau when their
+entry depths lie within tau.  A class's value is TP / (TP + FP + FN)
+averaged over the tolerances.
 
 Cells are half-open: a point belongs to cell floor((p - mins) / cell_size),
 so a ray running along a face plane lies in the cells above it.
@@ -50,11 +56,17 @@ _ORACLE_PAIRS = 1 << 21  # ray x cell pairs per slab-test chunk of the oracle
 
 @dataclasses.dataclass
 class MetricsReport:
-    """IoU and/or RayIoU results; unset blocks are None.
+    """IoU (from :func:`iou`) or RayIoU (from :func:`ray_iou`) results; the
+    other block is None.
 
-    Means are arithmetic means over the defined (IoU) or supported (RayIoU)
-    class subsets; ``zero_support`` marks a vacuous RayIoU (no ray hits
-    anything in either volume), reported as 1.0.
+    Both blocks are read off one (n_classes, tolerances, [TP, FP, FN]) table,
+    with a single tolerance for IoU; RayIoU keeps its table as
+    ``ray_counts`` and the occupancy rows as ``occ_ray_counts``.  A class's
+    support is the sum of its row; a class without support scores 0.0 and is
+    left out of the means.  A mean with no supported class, and an occupancy
+    value with no occupied item (no occupied voxel, or no ray hitting either
+    volume), is 1.0.  The dynamic mean covers the table's dynamic classes
+    with support and is None without a class table or such a class.
     """
 
     n_classes: int
@@ -71,7 +83,6 @@ class MetricsReport:
     occupancy_rayiou: float | None = None
     ray_counts: np.ndarray | None = None  # (n_classes, n_tolerances, [TP, FP, FN])
     occ_ray_counts: np.ndarray | None = None  # (n_tolerances, [TP, FP, FN])
-    zero_support: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,43 +161,64 @@ def predict_volume(
     return vol
 
 
+def _n_classes(pred: VoxelVolume, gt: VoxelVolume, classes: ClassTable | None) -> int:
+    """Classes scored for ``pred`` against ``gt``: each label of either volume
+    and each class of the table, at least one."""
+    if not pred.same_grid(gt):
+        raise ValueError("prediction and ground truth grids differ")
+    n = max(pred.labels.max(initial=FREE), gt.labels.max(initial=FREE)) + 1
+    return int(max(n, classes.n_classes if classes is not None else 0, 1))
+
+
+def _counts(gt_on, gt_cls, pr_on, pr_cls, matched, n_classes: int):
+    """The (n_classes, tolerances, [TP, FP, FN]) table and the (tolerances,
+    [TP, FP, FN]) occupancy rows of one item set.
+
+    ``gt_on``/``pr_on`` mark the items that are occupied in ground truth and
+    prediction, ``gt_cls``/``pr_cls`` give their classes there, and row t of
+    ``matched`` marks the items on in both that match at tolerance t.
+    """
+    gt_n = np.bincount(gt_cls[gt_on], minlength=n_classes)
+    pr_n = np.bincount(pr_cls[pr_on], minlength=n_classes)
+    same = gt_cls == pr_cls
+    tp = np.stack([np.bincount(gt_cls[m & same], minlength=n_classes) for m in matched], axis=1)
+    occ_tp = np.count_nonzero(matched, axis=1)
+    occ = np.stack([occ_tp, np.count_nonzero(pr_on) - occ_tp, np.count_nonzero(gt_on) - occ_tp], axis=1)
+    return np.stack([tp, pr_n[:, None] - tp, gt_n[:, None] - tp], axis=2), occ
+
+
+def _scores(counts: np.ndarray, occ: np.ndarray, classes: ClassTable | None):
+    """(per-class value, support, mean, dynamic mean, occupancy value) of a
+    count table, as :class:`MetricsReport` defines them."""
+    support = counts.sum(axis=(1, 2))
+    per_class = np.mean(counts[:, :, 0] / np.maximum(counts.sum(axis=2), 1), axis=1)
+    scored = support > 0
+    mean = float(per_class[scored].mean()) if scored.any() else 1.0
+    dyn = None
+    if classes is not None:
+        dmask = classes.dynamic_mask & scored[: classes.n_classes]
+        dyn = float(per_class[: classes.n_classes][dmask].mean()) if dmask.any() else None
+    occupancy = float(np.mean(occ[:, 0] / np.maximum(occ.sum(axis=1), 1))) if occ.any() else 1.0
+    return per_class, support, mean, dyn, occupancy
+
+
 def iou(
     pred: VoxelVolume, gt: VoxelVolume, classes: ClassTable | None = None
 ) -> MetricsReport:
-    """Per-class and binary-occupancy intersection-over-union.
-
-    Classes whose union is empty in both volumes are excluded from means.
-    """
-    if not pred.same_grid(gt):
-        raise ValueError("prediction and ground truth grids differ")
-    n_classes = int(
-        max(pred.labels.max(initial=FREE), gt.labels.max(initial=FREE)) + 1
-    )
-    if classes is not None:
-        n_classes = max(n_classes, classes.n_classes)
-    per_class = np.zeros(max(n_classes, 1))
-    defined = np.zeros(max(n_classes, 1), dtype=bool)
-    for c in range(n_classes):
-        inter = int(np.sum((pred.labels == c) & (gt.labels == c)))
-        union = int(np.sum((pred.labels == c) | (gt.labels == c)))
-        if union > 0:
-            per_class[c] = inter / union
-            defined[c] = True
-    p_occ, g_occ = pred.occupancy, gt.occupancy
-    occ_union = int(np.sum(p_occ | g_occ))
-    occ_iou = float(np.sum(p_occ & g_occ) / occ_union) if occ_union else 1.0
-    mean = float(per_class[defined].mean()) if defined.any() else 1.0
-    dyn = None
-    if classes is not None:
-        dmask = classes.dynamic_mask[: len(defined)] & defined[: classes.n_classes]
-        dyn = float(per_class[: classes.n_classes][dmask].mean()) if dmask.any() else None
+    """Per-class and binary-occupancy intersection-over-union: the count
+    table with voxels as items, matched where both are occupied."""
+    n_classes = _n_classes(pred, gt, classes)
+    gt_cls, pr_cls = gt.labels.ravel(), pred.labels.ravel()
+    gt_on, pr_on = gt_cls != FREE, pr_cls != FREE
+    counts, occ = _counts(gt_on, gt_cls, pr_on, pr_cls, (gt_on & pr_on)[None], n_classes)
+    per_class, support, mean, dyn, occupancy = _scores(counts, occ, classes)
     return MetricsReport(
         n_classes=n_classes,
         iou_per_class=per_class,
-        iou_defined=defined,
+        iou_defined=support > 0,
         mean_iou=mean,
         dynamic_mean_iou=dyn,
-        occupancy_iou=occ_iou,
+        occupancy_iou=occupancy,
     )
 
 
@@ -311,67 +343,26 @@ def _exact_hits(vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray):
     return hit, cls, depth
 
 
-def _count_and_score(
-    gt_hit, gt_cls, gt_depth, pr_hit, pr_cls, pr_depth, cfg: RayIoUConfig,
-    n_classes: int, classes: ClassTable | None,
-) -> MetricsReport:
-    taus = cfg.depth_tolerances
-    counts = np.zeros((n_classes, len(taus), 3), dtype=np.int64)
-    occ_counts = np.zeros((len(taus), 3), dtype=np.int64)
+def _ray_metric(pred, gt, cfg, classes, hit_fn) -> MetricsReport:
+    n_classes = _n_classes(pred, gt, classes)
+    gt_hit, gt_cls, gt_depth, pr_hit, pr_cls, pr_depth = hit_fn(gt, cfg.origins, cfg.directions, pred)
     both = gt_hit & pr_hit
     close = np.full(len(gt_hit), np.inf)
     close[both] = np.abs(pr_depth[both] - gt_depth[both])
-    for ti, tau in enumerate(taus):
-        matched = both & (close <= tau)
-        occ_counts[ti] = (
-            int(matched.sum()),
-            int((pr_hit & ~matched).sum()),
-            int((gt_hit & ~matched).sum()),
-        )
-        cls_match = matched & (gt_cls == pr_cls)
-        for c in range(n_classes):
-            tp = int(np.sum(cls_match & (gt_cls == c)))
-            fp = int(np.sum(pr_hit & (pr_cls == c))) - tp
-            fn = int(np.sum(gt_hit & (gt_cls == c))) - tp
-            counts[c, ti] = (tp, fp, fn)
-
-    support = counts.sum(axis=(1, 2)) > 0
-    per_class = np.ones(n_classes)
-    for c in range(n_classes):
-        if support[c]:
-            denom = counts[c].sum(axis=1)
-            per_class[c] = float(np.mean(counts[c, :, 0] / np.maximum(denom, 1)))
-    occ_denom = occ_counts.sum(axis=1)
-    zero_support = not (gt_hit.any() or pr_hit.any())
-    occ_val = float(np.mean(occ_counts[:, 0] / np.maximum(occ_denom, 1))) if not zero_support else 1.0
-    mean = float(per_class[support].mean()) if support.any() else 1.0
-    dyn = None
-    if classes is not None:
-        dmask = classes.dynamic_mask[: n_classes] & support[: classes.n_classes]
-        dyn = float(per_class[: classes.n_classes][dmask].mean()) if dmask.any() else None
+    matched = close <= np.array(cfg.depth_tolerances)[:, None]
+    counts, occ = _counts(gt_hit, gt_cls, pr_hit, pr_cls, matched, n_classes)
+    per_class, support, mean, dyn, occupancy = _scores(counts, occ, classes)
     return MetricsReport(
         n_classes=n_classes,
-        depth_tolerances=taus,
+        depth_tolerances=cfg.depth_tolerances,
         rayiou_per_class=per_class,
-        rayiou_support=counts.sum(axis=(1, 2)),
+        rayiou_support=support,
         mean_rayiou=mean,
         dynamic_mean_rayiou=dyn,
-        occupancy_rayiou=occ_val,
+        occupancy_rayiou=occupancy,
         ray_counts=counts,
-        occ_ray_counts=occ_counts,
-        zero_support=zero_support,
+        occ_ray_counts=occ,
     )
-
-
-def _ray_metric(pred, gt, cfg, classes, hit_fn) -> MetricsReport:
-    if not pred.same_grid(gt):
-        raise ValueError("prediction and ground truth grids differ")
-    n_classes = int(max(pred.labels.max(initial=FREE), gt.labels.max(initial=FREE)) + 1)
-    if classes is not None:
-        n_classes = max(n_classes, classes.n_classes)
-    n_classes = max(n_classes, 1)
-    hits = hit_fn(gt, cfg.origins, cfg.directions, pred)
-    return _count_and_score(*hits, cfg, n_classes, classes)
 
 
 def ray_iou(
@@ -391,43 +382,31 @@ def brute_force_ray_iou(
     return _ray_metric(pred, gt, cfg, classes, first_hits_exact)
 
 
-def summary_line(report: MetricsReport) -> str:
-    def fmt(v):
-        return "" if v is None else f"{v:.6f}"
-
-    return ",".join(
-        [
-            fmt(report.mean_iou),
-            fmt(report.dynamic_mean_iou),
-            fmt(report.occupancy_iou),
-            fmt(report.mean_rayiou),
-            fmt(report.dynamic_mean_rayiou),
-            fmt(report.occupancy_rayiou),
-        ]
+def summary_line(vox: MetricsReport, ray: MetricsReport) -> str:
+    values = (
+        vox.mean_iou, vox.dynamic_mean_iou, vox.occupancy_iou,
+        ray.mean_rayiou, ray.dynamic_mean_rayiou, ray.occupancy_rayiou,
     )
+    return ",".join("" if v is None else f"{v:.6f}" for v in values)
 
 
 def _class_name(c: int, classes: ClassTable | None) -> str:
     return classes.names[c] if classes is not None and c < classes.n_classes else str(c)
 
 
-def write_metrics_csv(report: MetricsReport, destination, classes: ClassTable | None = None) -> None:
-    """Per-class rows `class,iou,rayiou,support` then one summary line."""
+def write_metrics_csv(
+    vox: MetricsReport, ray: MetricsReport, destination, classes: ClassTable | None = None
+) -> None:
+    """Per-class rows `class,iou,rayiou,support` then one summary line, from
+    the :func:`iou` and :func:`ray_iou` reports of one pair."""
     lines = ["class,iou,rayiou,support\n"]
-    for c in range(report.n_classes):
-        name = _class_name(c, classes)
-        iou_v = ""
-        if report.iou_per_class is not None and report.iou_defined is not None:
-            iou_v = f"{report.iou_per_class[c]:.6f}" if report.iou_defined[c] else ""
-        ray_v = ""
-        sup = ""
-        if report.rayiou_per_class is not None:
-            sup_n = int(report.rayiou_support[c])
-            sup = str(sup_n)
-            ray_v = f"{report.rayiou_per_class[c]:.6f}" if sup_n else ""
-        lines.append(f"{name},{iou_v},{ray_v},{sup}\n")
+    for c in range(vox.n_classes):
+        iou_v = f"{vox.iou_per_class[c]:.6f}" if vox.iou_defined[c] else ""
+        sup = int(ray.rayiou_support[c])
+        ray_v = f"{ray.rayiou_per_class[c]:.6f}" if sup else ""
+        lines.append(f"{_class_name(c, classes)},{iou_v},{ray_v},{sup}\n")
     lines.append("# mean_iou,dyn_iou,occ_iou,mean_rayiou,dyn_rayiou,occ_rayiou\n")
-    lines.append(summary_line(report) + "\n")
+    lines.append(summary_line(vox, ray) + "\n")
     _format.write(destination, ["".join(lines).encode()])
 
 

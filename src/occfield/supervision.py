@@ -50,6 +50,12 @@ class SamplingConfig:
         if not (self.t_min <= 0.0 <= self.t_max):  # NaN fails this too
             raise ValueError("temporal window [t_min, t_max] must contain the reference time 0")
 
+    def window(self, pc: PointCloud) -> PointCloud:
+        """The points of ``pc`` whose time lies in [t_min, t_max], the ones
+        both training modes learn from."""
+        inside = (pc.times >= self.t_min) & (pc.times <= self.t_max)
+        return pc if inside.all() else pc.take(np.flatnonzero(inside))
+
 
 class QueryBatch:
     """Column store of query samples: (x, y, z, t) queries, their occupancy
@@ -178,10 +184,7 @@ def build_query_set(clouds: Sequence[PointCloud], cfg: SamplingConfig) -> QueryB
     rng = np.random.default_rng(cfg.seed)
 
     frames = []
-    for pc in clouds:
-        in_window = (pc.times >= cfg.t_min) & (pc.times <= cfg.t_max)
-        if not in_window.all():
-            pc = pc.take(np.flatnonzero(in_window))
+    for pc in map(cfg.window, clouds):
         if len(pc):
             frames.append((pc, _usable(pc)))
     if not frames:

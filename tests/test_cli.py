@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import occfield
-from occfield import brute_force_ray_iou, iou, metrics, ray_iou, read_voxel_volume, rays_from_scan
+from occfield import (
+    brute_force_ray_iou, field, iou, metrics, ray_iou, read_pointcloud, read_query_batch, read_voxel_volume,
+    rays_from_scan,
+)
 from occfield.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from occfield.config import read_run_config, read_scan_file
 from occfield.scene import VoxelVolume
@@ -131,7 +134,7 @@ def test_ground_truth_scores_one_against_itself(tmp_path):
     for score in (ray_iou, brute_force_ray_iou):
         rep = score(config_grid, gt, rays)
         assert rep.mean_rayiou == 1.0 and rep.occupancy_rayiou == 1.0
-        assert not rep.zero_support
+        assert rep.occ_ray_counts.any()  # some ray hits: not the vacuous 1.0
 
 
 def _ground_truth_eval(tmp_path, monkeypatch, extra=""):
@@ -199,6 +202,30 @@ def test_rendering_mode_trains(tmp_path):
     run.write_text(text.replace("batch_size = 256", "batch_size = 16"))
     assert _run(run, *PREP, "train") == [EXIT_OK] * 4
     assert len((tmp_path / "out" / "loss.csv").read_text().splitlines()) == 3
+
+
+def test_both_modes_train_on_the_frames_inside_the_window(tmp_path, monkeypatch):
+    run = _write_run(tmp_path, mode="rendering", extra="render_far = 20.0\n")
+    text = run.read_text().replace("total_steps = 20", "total_steps = 2")
+    run.write_text(text.replace("batch_size = 256", "batch_size = 16"))
+    # the default window is [-1.5, 1.5]: the frame at 2.0 lies outside it
+    scan = tmp_path / "scan.ini"
+    scan.write_text(SCAN.replace("timesteps = -0.5 0.0 0.5", "timesteps = -0.5 0.0 0.5 2.0"))
+    assert _run(run, *PREP) == [EXIT_OK] * 3
+    seen = []
+    original = field.train_rendering_baseline
+
+    def recording(model, rays, cfg):
+        seen.append(rays)
+        return original(model, rays, cfg)
+
+    monkeypatch.setattr(field, "train_rendering_baseline", recording)
+    assert _run(run, "train") == [EXIT_OK]
+    out = tmp_path / "out"
+    assert len(read_pointcloud(out / "scan_003.qopc")) > 0
+    queries = read_query_batch(out / "queries.qoqs")
+    np.testing.assert_array_equal(np.unique(seen[0].times), [-0.5, 0.0, 0.5])
+    np.testing.assert_array_equal(np.unique(queries.queries[:, 3]), [-0.5, 0.0, 0.5])
 
 
 def test_unknown_train_key_is_a_config_error(tmp_path, capsys):

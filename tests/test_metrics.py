@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from occfield import (
 from occfield import metrics
 from occfield.geometry import ray_box
 from occfield.metrics import RayIoUConfig, first_hits, first_hits_exact
+from occfield.pointcloud import ClassTable
 from occfield.scene import FREE, VoxelVolume
 
 # Dyadic grid values: face planes, cell indices and the floor() that assigns
@@ -376,3 +379,231 @@ class TestPredictVolume:
         for maxs in (MINS + [3.0, 2.5, 2.2], MINS):
             with pytest.raises(ValueError, match="whole number of cells"):
                 predict_volume(model, MINS, maxs, CELL)
+
+
+# The scoring of the parent commit, kept as the reference for the one count
+# table: its per-class voxel loop and its class x tolerance ray loop.
+def _reference_iou(pred, gt, classes=None):
+    n_classes = int(max(pred.labels.max(initial=FREE), gt.labels.max(initial=FREE)) + 1)
+    if classes is not None:
+        n_classes = max(n_classes, classes.n_classes)
+    per_class = np.zeros(max(n_classes, 1))
+    defined = np.zeros(max(n_classes, 1), dtype=bool)
+    for c in range(n_classes):
+        inter = int(np.sum((pred.labels == c) & (gt.labels == c)))
+        union = int(np.sum((pred.labels == c) | (gt.labels == c)))
+        if union > 0:
+            per_class[c] = inter / union
+            defined[c] = True
+    p_occ, g_occ = pred.occupancy, gt.occupancy
+    occ_union = int(np.sum(p_occ | g_occ))
+    occ_iou = float(np.sum(p_occ & g_occ) / occ_union) if occ_union else 1.0
+    mean = float(per_class[defined].mean()) if defined.any() else 1.0
+    dyn = None
+    if classes is not None:
+        dmask = classes.dynamic_mask[: len(defined)] & defined[: classes.n_classes]
+        dyn = float(per_class[: classes.n_classes][dmask].mean()) if dmask.any() else None
+    return dict(
+        n_classes=n_classes, iou_per_class=per_class, iou_defined=defined, mean_iou=mean,
+        dynamic_mean_iou=dyn, occupancy_iou=occ_iou,
+    )
+
+
+def _reference_count_and_score(gt_hit, gt_cls, gt_depth, pr_hit, pr_cls, pr_depth, cfg, n_classes, classes):
+    taus = cfg.depth_tolerances
+    counts = np.zeros((n_classes, len(taus), 3), dtype=np.int64)
+    occ_counts = np.zeros((len(taus), 3), dtype=np.int64)
+    both = gt_hit & pr_hit
+    close = np.full(len(gt_hit), np.inf)
+    close[both] = np.abs(pr_depth[both] - gt_depth[both])
+    for ti, tau in enumerate(taus):
+        matched = both & (close <= tau)
+        occ_counts[ti] = (
+            int(matched.sum()), int((pr_hit & ~matched).sum()), int((gt_hit & ~matched).sum()),
+        )
+        cls_match = matched & (gt_cls == pr_cls)
+        for c in range(n_classes):
+            tp = int(np.sum(cls_match & (gt_cls == c)))
+            fp = int(np.sum(pr_hit & (pr_cls == c))) - tp
+            fn = int(np.sum(gt_hit & (gt_cls == c))) - tp
+            counts[c, ti] = (tp, fp, fn)
+    support = counts.sum(axis=(1, 2)) > 0
+    per_class = np.ones(n_classes)
+    for c in range(n_classes):
+        if support[c]:
+            denom = counts[c].sum(axis=1)
+            per_class[c] = float(np.mean(counts[c, :, 0] / np.maximum(denom, 1)))
+    occ_denom = occ_counts.sum(axis=1)
+    zero_support = not (gt_hit.any() or pr_hit.any())
+    occ_val = float(np.mean(occ_counts[:, 0] / np.maximum(occ_denom, 1))) if not zero_support else 1.0
+    mean = float(per_class[support].mean()) if support.any() else 1.0
+    dyn = None
+    if classes is not None:
+        dmask = classes.dynamic_mask[:n_classes] & support[: classes.n_classes]
+        dyn = float(per_class[: classes.n_classes][dmask].mean()) if dmask.any() else None
+    return dict(
+        n_classes=n_classes, depth_tolerances=taus, rayiou_per_class=per_class,
+        rayiou_support=counts.sum(axis=(1, 2)), mean_rayiou=mean, dynamic_mean_rayiou=dyn,
+        occupancy_rayiou=occ_val, ray_counts=counts, occ_ray_counts=occ_counts, zero_support=zero_support,
+    )
+
+
+def _reference_ray_n_classes(pred, gt, classes):
+    n_classes = int(max(pred.labels.max(initial=FREE), gt.labels.max(initial=FREE)) + 1)
+    if classes is not None:
+        n_classes = max(n_classes, classes.n_classes)
+    return max(n_classes, 1)
+
+
+def _assert_fields_bitwise(report, want):
+    for name, value in want.items():
+        got = getattr(report, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert type(got) is type(value) and got == value, name
+            assert repr(got) == repr(value), name  # -0.0 and 0.0 differ
+
+
+def _table(rng, n):
+    names = tuple(f"c{i}" for i in range(n))
+    return ClassTable(names, rng.random(n), rng.random(n) < 0.5)
+
+
+def _random_pair(rng, n_labels, p_gt, p_pred):
+    gt = _random_volume(rng, p_gt, n_labels)
+    # mostly agreeing with ground truth, so every count is exercised
+    labels = np.where(rng.random(DIMS) < 0.7, gt.labels, _random_volume(rng, p_pred, n_labels).labels)
+    return VoxelVolume(labels, MINS, CELL), gt
+
+
+_TABLES = [None, 2, 3, 6]  # none, smaller than the labels, equal, larger
+
+
+class TestOneCountTable:
+    """``iou`` and ``ray_iou`` against the parent's two scorers, field by field.
+
+    Moved on purpose: an unsupported class's RayIoU value is 0.0 where the
+    parent had 1.0 (printed nowhere), ``n_classes`` of an all-free pair
+    without a class table is 1 where the parent's voxel report had 0, and
+    ``zero_support`` is gone (``occ_ray_counts`` all zero says it).
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("table", _TABLES)
+    def test_voxel_iou_matches_the_reference(self, seed, table):
+        rng = np.random.default_rng(500 + seed)
+        classes = None if table is None else _table(rng, table)
+        pred, gt = _random_pair(rng, 3 + seed % 3, 0.3, 0.3)
+        free = VoxelVolume(np.full(DIMS, FREE, dtype=np.int32), MINS, CELL)
+        for p, g in ((pred, gt), (gt, gt), (free, gt), (pred, free), (free, free)):
+            want = _reference_iou(p, g, classes)
+            if want["n_classes"] == 0:
+                want["n_classes"] = 1
+            _assert_fields_bitwise(iou(p, g, classes), want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("table", _TABLES)
+    @pytest.mark.parametrize("taus", [(1.0,), (0.25, 1.0), (0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0)])
+    def test_ray_iou_of_random_hit_sets_matches_the_reference(self, seed, table, taus):
+        rng = np.random.default_rng(600 + seed)
+        classes = None if table is None else _table(rng, table)
+        pred, gt = _random_pair(rng, 4, 0.2, 0.2)
+        n_classes = _reference_ray_n_classes(pred, gt, classes)
+        n = 500
+        cfg = RayIoUConfig(np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0], (n, 1)), taus)
+        hits = []
+        for p_hit in (0.7, 0.6):
+            hit = rng.random(n) < p_hit
+            cls = np.where(hit, rng.integers(0, n_classes, n), FREE).astype(np.int32)
+            # depths on a grid of 0.05 m, so some differences equal a tolerance
+            depth = np.where(hit, rng.integers(0, 100, n) * 0.05, np.inf)
+            hits += [hit, cls, depth]
+        hits[4] = np.where((rng.random(n) < 0.5) & hits[0], hits[1], hits[4])  # agree on many classes
+        for h in (hits, [hits[0] & False, hits[1], hits[2], hits[3] & False, hits[4], hits[5]]):
+            h = list(h)
+            for k in (0, 3):
+                h[k + 1] = np.where(h[k], h[k + 1], FREE).astype(np.int32)
+                h[k + 2] = np.where(h[k], h[k + 2], np.inf)
+            want = _reference_count_and_score(*h, cfg, n_classes, classes)
+            got = metrics._ray_metric(pred, gt, cfg, classes, lambda *args: tuple(h))
+            assert want.pop("zero_support") == (not got.occ_ray_counts.any())
+            want["rayiou_per_class"][want["rayiou_support"] == 0] = 0.0
+            _assert_fields_bitwise(got, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("table", _TABLES)
+    def test_ray_iou_of_walked_rays_matches_the_reference(self, seed, table):
+        rng = np.random.default_rng(700 + seed)
+        classes = None if table is None else _table(rng, table)
+        pred, gt = _random_pair(rng, 3, 0.15, 0.15)
+        free = VoxelVolume(np.full(DIMS, FREE, dtype=np.int32), MINS, CELL)
+        o, d = _ray_mix(rng, gt, n=80)
+        cfg = RayIoUConfig(o, d, (0.25, 0.5, 1.0))
+        for p, g in ((pred, gt), (free, gt), (free, free)):
+            n_classes = _reference_ray_n_classes(p, g, classes)
+            want = _reference_count_and_score(*first_hits(g, o, d, p), cfg, n_classes, classes)
+            got = ray_iou(p, g, cfg, classes)
+            assert want.pop("zero_support") == (not got.occ_ray_counts.any())
+            want["rayiou_per_class"][want["rayiou_support"] == 0] = 0.0
+            _assert_fields_bitwise(got, want)
+
+
+# A hand-built pair on a 5 x 1 x 1 grid of 1 m cells, scored with two rays
+# along the row, one from each end, at tolerances 0.5 m and 1.0 m.
+_GOLDEN_CLASSES = ClassTable(
+    ("ground", "car", "tree", "sign"), np.full(4, 0.25), np.array([False, True, False, False])
+)
+_GOLDEN_RAYS = RayIoUConfig([[-1.0, 0.5, 0.5], [6.0, 0.5, 0.5]], [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (0.5, 1.0))
+
+
+def _golden_files(pred_labels, gt_labels, classes):
+    def volume(labels):
+        return VoxelVolume(np.array(labels, dtype=np.int32).reshape(5, 1, 1), np.zeros(3), 1.0)
+
+    pred, gt = volume(pred_labels), volume(gt_labels)
+    vox, ray = iou(pred, gt, classes), ray_iou(pred, gt, _GOLDEN_RAYS, classes)
+    scores, counts = io.BytesIO(), io.BytesIO()
+    metrics.write_metrics_csv(vox, ray, scores, classes)
+    metrics.write_ray_counts_csv(ray, counts, classes)
+    return scores.getvalue().decode(), counts.getvalue().decode()
+
+
+def test_metrics_files_of_a_hand_built_pair():
+    """ground matches everywhere; car (dynamic) is in neither volume, so no
+    dynamic class has support; tree is hit 1 m apart by the ray from +x;
+    sign has voxels but no ray reaches it first."""
+    scores, counts = _golden_files([0, 3, 2, 2, 2], [0, 3, 3, 2, FREE], _GOLDEN_CLASSES)
+    assert scores == (
+        "class,iou,rayiou,support\n"
+        "ground,1.000000,1.000000,2\n"
+        "car,,,0\n"
+        "tree,0.333333,0.500000,3\n"
+        "sign,0.500000,,0\n"
+        "# mean_iou,dyn_iou,occ_iou,mean_rayiou,dyn_rayiou,occ_rayiou\n"
+        "0.611111,,0.800000,0.750000,,0.666667\n"
+    )
+    assert counts == (
+        "class,tolerance,tp,fp,fn\n"
+        "ground,0.5,1,0,0\nground,1.0,1,0,0\n"
+        "car,0.5,0,0,0\ncar,1.0,0,0,0\n"
+        "tree,0.5,0,1,1\ntree,1.0,1,0,0\n"
+        "sign,0.5,0,0,0\nsign,1.0,0,0,0\n"
+        "occupancy,0.5,1,1,1\noccupancy,1.0,2,0,0\n"
+    )
+
+
+def test_metrics_files_of_an_all_free_pair_without_a_class_table():
+    scores, counts = _golden_files([FREE] * 5, [FREE] * 5, None)
+    assert scores == (
+        "class,iou,rayiou,support\n"
+        "0,,,0\n"
+        "# mean_iou,dyn_iou,occ_iou,mean_rayiou,dyn_rayiou,occ_rayiou\n"
+        "1.000000,,1.000000,1.000000,,1.000000\n"
+    )
+    assert counts == (
+        "class,tolerance,tp,fp,fn\n"
+        "0,0.5,0,0,0\n0,1.0,0,0,0\n"
+        "occupancy,0.5,0,0,0\noccupancy,1.0,0,0,0\n"
+    )

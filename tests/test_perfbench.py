@@ -5,9 +5,12 @@ by name to time them.  Both run in subprocesses here, because the tracer
 patches the modules it wraps.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from test_cli import EXIT_OK, PREP, _run, _write_run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +44,17 @@ def test_tracer_finds_every_entry_point():
     done = _python("-c", TRACE)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_benchmark_eval_scores_as_occfield_eval(tmp_path):
+    """The benchmark's eval stage repeats ``cmd_eval`` by hand; both score
+    one trained model alike."""
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP, "train", "eval") == [EXIT_OK] * 5
+    result = tmp_path / "eval.json"
+    done = _python("perfbench/stage.py", "eval", str(run), str(result))
+    assert done.returncode == 0, done.stdout + done.stderr
+    stage = json.loads(result.read_text())["extra"]
+    summary = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[-1].split(",")
+    columns = {"mean_iou": 0, "occ_iou": 2, "mean_rayiou": 3, "occ_rayiou": 5}
+    assert {k: f"{stage[k]:.6f}" for k in columns} == {k: summary[i] for k, i in columns.items()}

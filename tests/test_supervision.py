@@ -13,6 +13,7 @@ from occfield import (
     SceneSpec,
     UNLABELED,
     build_query_set,
+    rays_from_pointcloud,
     read_query_batch,
     validate_against_oracle,
     write_query_batch,
@@ -71,6 +72,20 @@ class TestNegativeQueries:
         assert len(neg_q) == len(pos_q) == 0 and not _usable(point).any()
         # its draws are still made, so later frames see the same stream
         assert _draw(point, cfg, np.random.default_rng(0))[0].shape == (1, 2)
+
+    def test_rendering_rays_skip_the_same_returns(self):
+        """A return 1e-7 m from its origin gives neither queries nor a
+        rendering ray."""
+        cloud = PointCloud(
+            np.array([[5.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [0.0, 0.0, -2.0]]),
+            np.zeros((3, 3)), [0.0, 0.5, 1.0], [1, 2, 3], [False] * 3,
+        )
+        np.testing.assert_array_equal(_usable(cloud), [True, False, True])
+        rays = rays_from_pointcloud(cloud)
+        np.testing.assert_array_equal(rays.target_classes, [1, 3])
+        np.testing.assert_array_equal(rays.times, [0.0, 1.0])
+        np.testing.assert_array_equal(rays.target_depths, [5.0, 2.0])
+        np.testing.assert_array_equal(rays.directions, [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
 
 
 class TestPositiveQueries:
