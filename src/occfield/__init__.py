@@ -10,7 +10,6 @@ from .geometry import (
     ContractionParams,
     FourierConfig,
     contract_axis,
-    uncontract_axis,
 )
 from .pointcloud import (
     UNLABELED,

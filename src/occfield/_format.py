@@ -13,8 +13,7 @@ QOQS  query batch (``supervision``)
       header  ``<IQH``: version 1, count, feature_dim 0
       payload count records of query f4[4], occ u1, class u2, packed
 QOVX  voxel volume (``scene``)
-      header  ``<I3Id6d`` (version 2) or ``<I3If6f`` (version 1): version,
-              nx, ny, nz, cell size, mins[3], maxs[3]
+      header  ``<I3Id6d``: version 2, nx, ny, nz, cell size, mins[3], maxs[3]
       payload nx * ny * nz cells u2 in C order (0 = free, else class + 1)
 QOFM  field model (``field``)
       header  ``<II``: version 1, n layer sizes; then ``<nI``: the layer

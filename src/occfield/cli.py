@@ -23,7 +23,6 @@ from .config import RunConfig, read_run_config, read_scan_file, read_scene_file
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .pointcloud import PointCloud, write_class_table, read_pointcloud, write_pointcloud
 from .scene import raycast_scan, read_voxel_volume, voxelize_ground_truth, write_voxel_volume
-from .geometry import contract_axis, uncontract_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,26 +160,12 @@ def cmd_eval(cfg: RunConfig, seed: int) -> None:
 
 def cmd_inspect_geometry(cfg: RunConfig, seed: int) -> None:
     ts = cfg.train
-    contraction = ts.contraction()
-    kappas = np.linspace(-10 * contraction.k_hr, 10 * contraction.k_hr, 81)
-    lines = ["kappa contracted roundtrip\n"]
-    for k in kappas:
-        c = contract_axis(float(k), contraction)
-        back = uncontract_axis(c, contraction)
-        lines.append(f"{k:.6f} {c:.9f} {back:.6f}\n")
-    _atomic_write(
-        cfg.output_dir / "contraction_table.txt",
-        lambda f: f.write("".join(lines).encode()),
-    )
-
-    scene = read_scene_file(cfg.scene_path)
-    scan = read_scan_file(cfg.scan_path)
-    cloud = raycast_scan(scene, scan, noise_seed=seed)
-    grid = bev.splat_pointcloud(cloud, bev.BevGrid(ts.grid_size, ts.grid_size, 1, contraction))
+    cloud = PointCloud.concat(_load_scan_clouds(cfg))
+    grid = bev.splat_pointcloud(cloud, bev.BevGrid(ts.grid_size, ts.grid_size, 1, ts.contraction()))
     _atomic_write(
         cfg.output_dir / "bev_mass.ppm", lambda f: f.write(bev.grid_to_ppm(grid))
     )
-    print(f"inspect-geometry: wrote tables and BEV mass image to {cfg.output_dir}")
+    print(f"inspect-geometry: wrote the scan's BEV mass image to {cfg.output_dir}")
 
 
 _COMMANDS = {

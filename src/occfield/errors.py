@@ -27,9 +27,9 @@ class TrainingDivergedError(RuntimeError):
     Carries the step index at which divergence was detected.
     """
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"training diverged at step {step}")
+        super().__init__(f"training diverged at step {step}")
 
 
 class ConfigError(ValueError):

@@ -13,8 +13,8 @@ last the whole run (``_Workspace``, ``_AdamW``), so a step after the first
 allocates no activation-sized array.
 The rendering baseline evaluates each sample once: the coarse pass keeps its
 cache, only the importance depths are added, and the cached rows are
-gathered into sorted depth order, which gives the bytes of one pass over all
-sorted samples because no row depends on the others in its batch.
+gathered into sorted depth order: the bytes of one pass over all sorted
+samples wherever rows agree bitwise across batch sizes (``_forward_raw``).
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ class FieldModel:
         for i, (w, b) in enumerate(layers):
             if w.shape[0] != dims[i] or b.shape != (w.shape[1],):
                 raise ValueError("layer dimensions do not chain")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError("layer weights and biases must be finite")
         if dims[-1] != 1 + n_classes:
             raise ValueError("head layout does not match final layer width")
 
@@ -240,11 +242,12 @@ def _forward_raw(model: FieldModel, queries: np.ndarray, work=None, start: int =
     ``_Workspace`` (a fresh one of start + n rows when None), so a training
     loop reuses one set of buffers and can evaluate a batch in parts.
     Squareplus runs in place and its derivative overwrites the
-    pre-activation.  A row's values do not depend on the other rows of its
-    batch, except that numpy multiplies a one-row batch through a
-    matrix-vector product, which may round differently; ``forward_batch``
-    pads such a batch to two rows, so only this training pass keeps the
-    exception.
+    pre-activation.  With a 6-column head (5 classes) a row's values agree
+    bitwise across batch sizes, except in a one-row batch, which numpy
+    multiplies as a matrix-vector product (``forward_batch`` pads it to two
+    rows).  With a 4-column head they need not: at 160 hidden units OpenBLAS
+    rounds batches of 2 to about 1,500 rows otherwise than the same rows of
+    a 16,384-row batch, and 2,000 or 4,096 rows agree.
     """
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
     n = len(q)
@@ -305,7 +308,7 @@ def forward_batch(model: FieldModel, queries: np.ndarray) -> tuple[np.ndarray, n
     Keeps no backprop cache: two buffers serve every hidden layer, and squareplus
     runs in place through ``_squareplus``, so outputs equal training's bit for bit.
     A one-row batch runs as two copies of its row, so that numpy multiplies it
-    as a matrix and it gets the bits of the same row in a larger batch."""
+    as a matrix; ``_forward_raw`` says when rows agree across batch sizes."""
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
     rows = len(q)
     h, a = _encode(model, np.repeat(q, 2, axis=0) if rows == 1 else q)[0], None
@@ -394,8 +397,6 @@ class LossReport:
     total: float
     occ: float
     sem: float
-    n_occ: int = 0
-    n_sem: int = 0
 
 
 def _class_weights(model: FieldModel, cfg: TrainConfig) -> np.ndarray:
@@ -440,7 +441,7 @@ def _loss_terms(model: FieldModel, batch: QueryBatch, cfg: TrainConfig, indices=
         d_sem[sem_mask] = sm * wi[:, None] * (cfg.lambda_sem / n_sem)
 
     total = cfg.lambda_occ * l_occ + cfg.lambda_sem * l_sem
-    report = LossReport(total, l_occ, l_sem, n, n_sem)
+    report = LossReport(total, l_occ, l_sem)
     return report, cache, d_occ, d_sem
 
 
@@ -655,10 +656,10 @@ def train_rendering_baseline(
     in a ``_Workspace`` that lasts the whole run, the importance depths fill
     the rows after it, and every cached row is then gathered into the order
     of the sorted depths.  That is the order of one pass over all sorted
-    samples, and rows do not depend on their batch, so compositing and
-    backprop see the bytes of such a pass (except at ``batch_size`` 1 with
-    one coarse or one importance sample, where a part is a single row; see
-    ``_forward_raw``).
+    samples, so compositing and backprop see the bytes of such a pass
+    wherever rows agree across batch sizes (``_forward_raw``): with a 6-column
+    head, except at ``batch_size`` 1 with one coarse or one importance
+    sample, where a part is a single row.
 
     Reported losses reuse LossReport slots: ``occ`` holds the depth L1 term
     and ``sem`` the semantic term.
@@ -727,7 +728,7 @@ def train_rendering_baseline(
         ds = d_sem_rows.reshape(-1, model.n_classes)
         d_sem_logits = sm * (ds - (ds * sm).sum(axis=1, keepdims=True))
         grads = _backward_from_output_grads(model, cache, d_occ_logit, d_sem_logits, grid_grad)
-        return grads, LossReport(l_depth + l_sem, l_depth, l_sem, b, n_lab)
+        return grads, LossReport(l_depth + l_sem, l_depth, l_sem)
 
     return _run_steps(model, cfg, b * ns, step)
 

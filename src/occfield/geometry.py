@@ -16,7 +16,6 @@ __all__ = [
     "ContractionParams",
     "FourierConfig",
     "contract_axis",
-    "uncontract_axis",
     "fourier_encode_batch",
     "ray_box",
 ]
@@ -56,17 +55,6 @@ def contract_axis(kappa, p: ContractionParams):
     far = np.sign(kb) * (1.0 - (1.0 - p.beta) / np.maximum(ab, 1.0))
     out = np.where(ab <= 1.0, p.beta * kb, far)
     return float(out) if np.isscalar(kappa) else out
-
-
-def uncontract_axis(c, p: ContractionParams):
-    """Exact inverse of :func:`contract_axis`.  Requires |c| < 1."""
-    cc = np.asarray(c, dtype=np.float64)
-    if not np.all(np.isfinite(cc)) or np.any(np.abs(cc) >= 1.0):
-        raise ValueError("uncontract_axis requires |c| < 1")
-    ac = np.abs(cc)
-    far = np.sign(cc) * (1.0 - p.beta) / (1.0 - ac) * p.k_hr
-    out = np.where(ac <= p.beta, cc / p.beta * p.k_hr, far)
-    return float(out) if np.isscalar(c) else out
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _format
 from .geometry import ray_box
-from .pointcloud import ClassTable, PointCloud
+from .pointcloud import UNLABELED, ClassTable, PointCloud
 
 __all__ = [
     "Box",
@@ -50,6 +50,8 @@ class _Solid:
                 raise ValueError(f"{key} must be positive")
         if getattr(self, "z_min", 0.0) > getattr(self, "z_max", 0.0):
             raise ValueError("z_max must not lie below z_min")
+        if not 0 <= self.class_id < UNLABELED:
+            raise ValueError(f"class must lie in [0, {UNLABELED})")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,7 +103,7 @@ class SceneSpec:
             raise ValueError("bounds must be positive and finite")
         if self.classes is not None:
             for p in self.primitives:
-                if not (0 <= p.class_id < self.classes.n_classes):
+                if p.class_id >= self.classes.n_classes:
                     raise ValueError(f"class_id {p.class_id} not in class table")
 
     @property
@@ -370,13 +372,13 @@ def voxelize_ground_truth(
 
 _VOX_MAGIC = b"QOVX"
 _VOX_VERSION = 2
-_VOX_HEADERS = {1: struct.Struct("<I3If6f"), 2: struct.Struct("<I3Id6d")}  # version, dims, cell, extents
+_VOX_HEADER = struct.Struct("<I3Id6d")  # version, dims, cell, extents
 
 
 def write_voxel_volume(vol: VoxelVolume, destination) -> None:
     """QOVX format: u16 cells (0 = free, else class_id + 1), C-order."""
     maxs = vol.maxs
-    header = _VOX_MAGIC + _VOX_HEADERS[_VOX_VERSION].pack(
+    header = _VOX_MAGIC + _VOX_HEADER.pack(
         _VOX_VERSION,
         *vol.dims,
         vol.cell_size,
@@ -388,7 +390,7 @@ def write_voxel_volume(vol: VoxelVolume, destination) -> None:
 
 
 def read_voxel_volume(source) -> VoxelVolume:
-    f = _format.Reader(source, _VOX_MAGIC, _VOX_HEADERS)
+    f = _format.Reader(source, _VOX_MAGIC, {_VOX_VERSION: _VOX_HEADER})
     _, nx, ny, nz, cell, *extents = f.header
     cells = f.array("<u2", nx * ny * nz).reshape(nx, ny, nz)
     labels = np.where(cells == 0, FREE, cells.astype(np.int32) - 1)

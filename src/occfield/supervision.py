@@ -72,6 +72,8 @@ class QueryBatch:
         if not np.isfinite([self.queries.min(initial=0.0), self.queries.max(initial=0.0)]).all():
             raise ValueError("queries must be finite")
         self.occupancy = np.asarray(occupancy, dtype=np.uint8).reshape(n)
+        if self.occupancy.max(initial=0) > 1:
+            raise ValueError("occupancy must be 0 or 1")
         self.classes = np.asarray(classes, dtype=np.uint16).reshape(n)
         neg_labeled = (self.occupancy == 0) & (self.classes != UNLABELED)
         if neg_labeled.any():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import struct
 import sys
 from pathlib import Path
@@ -109,7 +110,7 @@ def test_all_six_commands(tmp_path):
     expected = [
         "gt.qovx", "classes.txt", "scan_000.qopc", "scan_001.qopc", "scan_002.qopc",
         "queries.qoqs", "validation.txt", "model.qofm", "loss.csv", "metrics.csv",
-        "ray_counts.csv", "contraction_table.txt", "bev_mass.ppm",
+        "ray_counts.csv", "bev_mass.ppm",
     ]
     for name in expected:
         assert (out / name).stat().st_size > 0, name
@@ -117,6 +118,22 @@ def test_all_six_commands(tmp_path):
     assert len((out / "loss.csv").read_text().splitlines()) == 21
     summary = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
     assert len(summary) == 6 and all(0.0 <= float(v) <= 1.0 for v in summary if v)
+
+
+def test_bev_mass_image_is_pinned(tmp_path):
+    run = _write_run(tmp_path)
+    assert _run(run, "scan", "inspect-geometry") == [EXIT_OK] * 2
+    image = (tmp_path / "out" / "bev_mass.ppm").read_bytes()
+    assert hashlib.sha256(image).hexdigest() == (
+        "6103ff3ac0dcc704b70ca4ceddef591fbc374c052435b6789ff9856628396237"
+    )
+
+
+def test_inspect_geometry_before_scan_is_an_io_error(tmp_path, capsys):
+    run = _write_run(tmp_path)
+    assert _run(run, "inspect-geometry") == [EXIT_IO]
+    assert "scan_000.qopc" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bev_mass.ppm").exists()
 
 
 def test_ground_truth_scores_one_against_itself(tmp_path):
@@ -254,6 +271,39 @@ def test_non_finite_query_is_a_validation_error(tmp_path, capsys, coordinate):
     path.write_bytes(bytes(blob))
     assert _run(run, "train") == [EXIT_VALIDATION]
     assert "finite" in capsys.readouterr().err
+
+
+def test_occupancy_other_than_0_or_1_is_a_validation_error(tmp_path, capsys):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP) == [EXIT_OK] * 3
+    path = tmp_path / "out" / "queries.qoqs"
+    blob = bytearray(path.read_bytes())
+    # magic (4 bytes) and <IQH header (14), then records of query <f4[4], occ u1, class u2
+    blob[4 + 14 + 16] = 2
+    path.write_bytes(bytes(blob))
+    assert _run(run, "train") == [EXIT_VALIDATION]
+    assert "occupancy" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.qofm").exists()
+
+
+@pytest.mark.parametrize("parameter", ["first weight", "last bias"])
+def test_non_finite_model_parameter_is_a_validation_error(tmp_path, capsys, parameter):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP, "train") == [EXIT_OK] * 4
+    path = tmp_path / "out" / "model.qofm"
+    blob = bytearray(path.read_bytes())
+    # magic, <II version and size count, the layer sizes, the rest of the
+    # header, then the f4 grid, then per layer W and b
+    sizes_end = 12 + 4 * struct.unpack_from("<I", blob, 8)[0]
+    head = struct.Struct("<IIIff2f3I")
+    *_, width, height, channels = head.unpack_from(blob, sizes_end)
+    first_weight = sizes_end + head.size + 4 * width * height * channels
+    off = first_weight if parameter == "first weight" else len(blob) - 4
+    struct.pack_into("<f", blob, off, float("nan"))
+    path.write_bytes(bytes(blob))
+    assert _run(run, "eval") == [EXIT_VALIDATION]
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 # Functions that no command reaches on purpose, each with its reason.

@@ -173,6 +173,8 @@ MALFORMED = [
     ("scene", "z_max", "nan"),
     ("scene", "z_max", "-1.0"),  # below the slab's z_min
     ("scene", "bounds", "nan"),
+    ("scene", "class", "-1"),
+    ("scene", "class", "65535"),  # UNLABELED
     ("scan", "max_range", "far"),
     ("scan", "max_range", "nan"),
     ("scan", "timesteps", "0.0 soon"),

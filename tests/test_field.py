@@ -173,7 +173,7 @@ def _reference_rendering(model, rays, cfg):
         d_sem_logits = sm * (ds - (ds * sm).sum(axis=1, keepdims=True))
         grads = _backward_from_output_grads(model, cache, d_occ_logit, d_sem_logits, grid_grad)
         opt.step(f._flatten_grads(grads), step)
-        history.append(f.LossReport(l_depth + l_sem, l_depth, l_sem, b, n_lab))
+        history.append(f.LossReport(l_depth + l_sem, l_depth, l_sem))
     return model, history, ties
 
 

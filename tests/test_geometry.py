@@ -5,7 +5,6 @@ from occfield import (
     ContractionParams,
     FourierConfig,
     contract_axis,
-    uncontract_axis,
 )
 from occfield import init_field_model
 from occfield.field import _encode
@@ -49,23 +48,6 @@ class TestContraction:
         with pytest.raises(ValueError):
             contract_axis(np.inf, P)
 
-    def test_uncontract_examples(self):
-        assert uncontract_axis(0.0, P) == 0.0
-        assert uncontract_axis(0.8, P) == pytest.approx(40.0, rel=1e-12)
-        assert uncontract_axis(0.9, P) == pytest.approx(80.0, rel=1e-12)
-
-    def test_uncontract_domain(self):
-        with pytest.raises(ValueError):
-            uncontract_axis(1.0, P)
-        with pytest.raises(ValueError):
-            uncontract_axis(-1.5, P)
-
-    def test_round_trip(self):
-        k = np.linspace(-10 * P.k_hr, 10 * P.k_hr, 4001)
-        rt = uncontract_axis(contract_axis(k, P), P)
-        rel = np.abs(rt - k) / np.maximum(np.abs(k), 1e-12)
-        assert np.max(rel) < 1e-9
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ContractionParams(-1.0, 0.8)
@@ -104,8 +86,9 @@ class TestContractQuery:
 
     def test_round_trip_xy(self):
         cx, cy, _ = self._encode((123.4, -56.7, 2.0, 0.25))
-        assert uncontract_axis(cx, P) == pytest.approx(123.4, rel=1e-9)
-        assert uncontract_axis(cy, P) == pytest.approx(-56.7, rel=1e-9)
+        # the bilinear footprint recovers the contracted coordinates
+        assert cx == pytest.approx(contract_axis(123.4, P), abs=1e-12)
+        assert cy == pytest.approx(contract_axis(-56.7, P), abs=1e-12)
 
     def test_finiteness_enforced(self):
         for query in ((np.nan, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0)):

@@ -340,15 +340,6 @@ class TestVoxelIO:
         assert back.same_grid(config_grid)
         np.testing.assert_array_equal(back.labels, labels)
 
-    def test_version_1_still_reads(self):
-        labels = np.array([[[FREE, 0], [4, FREE]]], dtype=np.int32)
-        header = struct.pack("<I3If6f", 1, 1, 2, 2, 0.5, -1.0, 0.5, 0.25, -0.5, 1.5, 1.25)
-        cells = np.array([0, 1, 5, 0], dtype="<u2").tobytes()
-        back = read_voxel_volume(io.BytesIO(b"QOVX" + header + cells))
-        np.testing.assert_array_equal(back.labels, labels)
-        np.testing.assert_array_equal(back.mins, [-1.0, 0.5, 0.25])
-        assert back.cell_size == 0.5
-
     def test_truncated_v2_header_and_unknown_version(self):
         from occfield.errors import FormatVersionError, TruncatedFileError
 
@@ -356,15 +347,15 @@ class TestVoxelIO:
         buf = io.BytesIO()
         write_voxel_volume(vol, buf)
         blob = buf.getvalue()
-        # no version field; a whole version-1 header but not a version-2 one;
-        # one byte short of the version-2 header
+        # no version field; a cut inside the version-2 header; one byte short of it
         for cut in (6, 50, 4 + 71):
             with pytest.raises(TruncatedFileError):
                 read_voxel_volume(io.BytesIO(blob[:cut]))
         with pytest.raises(TruncatedFileError):
             read_voxel_volume(io.BytesIO(blob[:-1]))
-        with pytest.raises(FormatVersionError):
-            read_voxel_volume(io.BytesIO(blob[:4] + struct.pack("<I", 3) + blob[8:]))
+        for version in (1, 3):  # only version 2 is read
+            with pytest.raises(FormatVersionError):
+                read_voxel_volume(io.BytesIO(blob[:4] + struct.pack("<I", version) + blob[8:]))
 
 
 class TestSceneClasses:
