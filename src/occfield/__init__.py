@@ -62,7 +62,6 @@ from .field import (
 from .metrics import (
     MetricsReport,
     RayIoUConfig,
-    brute_force_ray_iou,
     iou,
     predict_volume,
     ray_iou,

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, FormatVersionError, TruncatedFileError
+from .errors import BadMagicError, FormatVersionError, InconsistentFileError, TruncatedFileError
 
 _VERSION = struct.Struct("<I")
 
@@ -64,7 +64,8 @@ class Reader:
 
     ``headers`` maps each readable version to its header struct, whose first
     field is the version; the unpacked header is ``header``.  A read past the
-    end of the file raises TruncatedFileError.
+    end of the file raises TruncatedFileError, and :meth:`end` refuses bytes
+    left after the last read.
     """
 
     def __init__(self, source, magic: bytes, headers: dict[int, struct.Struct]):
@@ -99,6 +100,13 @@ class Reader:
         arr = np.frombuffer(self.data, dtype, count, self.offset)
         self.offset += count * dtype.itemsize
         return arr
+
+    def end(self) -> None:
+        """Check that the last read reached the end of the file."""
+        if self.offset != len(self.data):
+            raise InconsistentFileError(
+                f"{self.name} file has {len(self.data) - self.offset} bytes after its last array"
+            )
 
     def no_features(self, feature_dim: int) -> None:
         if feature_dim:

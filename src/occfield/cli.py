@@ -21,7 +21,7 @@ import numpy as np
 from . import bev, field, metrics, supervision
 from .config import RunConfig, read_run_config, read_scan_file, read_scene_file
 from .errors import ConfigError, FormatError, TrainingDivergedError
-from .pointcloud import PointCloud, write_class_table, read_pointcloud, write_pointcloud
+from .pointcloud import UNLABELED, PointCloud, write_class_table, read_pointcloud, write_pointcloud
 from .scene import raycast_scan, read_voxel_volume, voxelize_ground_truth, write_voxel_volume
 
 EXIT_OK = 0
@@ -78,15 +78,30 @@ def cmd_scan(cfg: RunConfig, seed: int) -> None:
     print(f"scan: wrote {len(scan.timesteps)} clouds, {len(cloud)} points total")
 
 
-def _load_scan_clouds(cfg: RunConfig) -> list[PointCloud]:
+def _check_classes(path: Path, class_ids: np.ndarray, n_classes: int) -> None:
+    """Refuse a file holding a class id that the scene's ``n_classes`` classes
+    lack; UNLABELED, the occupancy-only sentinel, names no class."""
+    top = int(class_ids.max(initial=0, where=class_ids != UNLABELED))
+    if top >= n_classes:
+        raise ValueError(f"{path}: class id {top}, but the scene has {n_classes} classes")
+
+
+def _load_scan_clouds(cfg: RunConfig, n_classes: int | None = None) -> list[PointCloud]:
+    """The scan's clouds, each checked against ``n_classes`` classes if given."""
     n_frames = len(read_scan_file(cfg.scan_path).timesteps)
-    return [read_pointcloud(_scan_cloud_path(cfg.output_dir, i)) for i in range(n_frames)]
+    clouds = []
+    for i in range(n_frames):
+        path = _scan_cloud_path(cfg.output_dir, i)
+        clouds.append(read_pointcloud(path))
+        if n_classes is not None:
+            _check_classes(path, clouds[-1].class_ids, n_classes)
+    return clouds
 
 
 def cmd_queries(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
     sampling = dataclasses.replace(cfg.sampling, seed=seed)
-    batch = supervision.build_query_set(_load_scan_clouds(cfg), sampling)
+    batch = supervision.build_query_set(_load_scan_clouds(cfg, scene.n_classes), sampling)
     report = supervision.validate_against_oracle(batch, scene)
     _atomic_write(cfg.output_dir / "queries.qoqs", lambda f: supervision.write_query_batch(batch, f))
     _atomic_write(
@@ -117,10 +132,12 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
     model = _init_model(cfg, seed, scene.n_classes)
     tc = dataclasses.replace(cfg.train, seed=seed, class_weights=weights)
     if cfg.train.mode == "query":
-        batch = supervision.read_query_batch(cfg.output_dir / "queries.qoqs")
+        path = cfg.output_dir / "queries.qoqs"
+        batch = supervision.read_query_batch(path)
+        _check_classes(path, batch.classes, scene.n_classes)
         model, history = field.train(model, batch, tc)
     else:
-        clouds = [cfg.sampling.window(pc) for pc in _load_scan_clouds(cfg)]
+        clouds = [cfg.sampling.window(pc) for pc in _load_scan_clouds(cfg, scene.n_classes)]
         rays = field.rays_from_pointcloud(PointCloud.concat(clouds))
         model, history = field.train_rendering_baseline(model, rays, tc)
     _atomic_write(cfg.output_dir / "model.qofm", lambda f: field.write_field_model(model, f))
@@ -134,7 +151,9 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
 def cmd_eval(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
     model = field.read_field_model(cfg.output_dir / "model.qofm")
-    gt = read_voxel_volume(cfg.output_dir / "gt.qovx")
+    gt_path = cfg.output_dir / "gt.qovx"
+    gt = read_voxel_volume(gt_path)
+    _check_classes(gt_path, gt.labels, scene.n_classes)
     pred = metrics.predict_volume(
         model, cfg.grid.mins, cfg.grid.maxs, cfg.grid.cell_size,
         time=0.0, occ_threshold=cfg.metrics.occ_threshold,

@@ -17,6 +17,11 @@ class TruncatedFileError(FormatError):
     pass
 
 
+class InconsistentFileError(FormatError):
+    """A file that contradicts its own header: bytes after the last array the
+    header describes, or stored extents that its dims and cell size do not give."""
+
+
 class EmptyBatchError(ValueError):
     """A query batch ended up with no usable samples."""
 

@@ -780,6 +780,7 @@ def read_field_model(source) -> FieldModel:
 
     grid = BevGrid(gw, gh, gc, contraction, take(gh, gw, gc))
     layers = [(take(m, n), take(n)) for m, n in zip(sizes, sizes[1:])]
+    f.end()
     return FieldModel(grid, layers, fourier, n_classes)
 
 

@@ -12,13 +12,15 @@ entry depths lie within tau.  A class's value is TP / (TP + FP + FN)
 averaged over the tolerances.
 
 Cells are half-open: a point belongs to cell floor((p - mins) / cell_size),
-so a ray running along a face plane lies in the cells above it.
+so a ray running along a face plane lies in the cells above it.  A ray hits
+a cell only over a chord of positive length: a cell that it meets only along
+an edge or at a corner is not hit.  Depths are measured from the origin and
+clamped at the ray's entry into the grid, which is 0 for a ray starting
+inside it.
 ``first_hits`` finds the first occupied cell by integer grid traversal
 (Amanatides & Woo); given several volumes on one grid it walks each ray once
 and reports each volume's first hit, so ``ray_iou`` walks ground truth and
-prediction together.  ``first_hits_exact`` and ``brute_force_ray_iou`` are the
-independent oracle: they slab-test every ray against the box of every
-occupied cell, in chunks, and take the nearest entry.
+prediction together.
 """
 
 from __future__ import annotations
@@ -40,18 +42,15 @@ __all__ = [
     "predict_volume",
     "iou",
     "ray_iou",
-    "brute_force_ray_iou",
     "rays_from_scan",
     "rays_to_gt_surface",
     "first_hits",
-    "first_hits_exact",
     "write_metrics_csv",
     "write_ray_counts_csv",
     "summary_line",
 ]
 
 _CHUNK = 16384  # voxels per inference chunk: one 16,384 x 160 activation is 21 MB
-_ORACLE_PAIRS = 1 << 21  # ray x cell pairs per slab-test chunk of the oracle
 
 
 @dataclasses.dataclass
@@ -234,6 +233,11 @@ def first_hits(
     it leaves the grid.  Returns (hit, class, entry_depth) per ray for ``vol``,
     then the same three arrays for each of ``others`` in turn, as one tuple;
     each volume's arrays are bitwise those of walking it alone on ``vol``'s grid.
+
+    Under the module's half-open rule a ray is walked from its entry depth,
+    to which each axis's first boundary depth is clamped, and a cell that it
+    leaves at the depth it entered (one met only along an edge or at a
+    corner, which the axis tie-break may step through) is not hit.
     """
     vols = (vol, *others)
     if not all(vol.same_grid(v) for v in others):
@@ -270,7 +274,9 @@ def first_hits(
     step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         boundary = vol.mins + (cur + (step > 0)) * vol.cell_size
-        tmax = np.where(d != 0, (boundary - o) / d, np.inf).T.copy()
+        # rounding can put the entry point across a face plane that the ray
+        # nearly parallels, and the plane's crossing then lies before the entry
+        tmax = np.maximum(t_cur, np.where(d != 0, (boundary - o) / d, np.inf).T, order="C")
         tdelta = np.where(d != 0, vol.cell_size / np.abs(d), np.inf).T.copy()
     move = (step * strides).T.copy()
     flat = (cur + 1) @ strides
@@ -279,19 +285,22 @@ def first_hits(
 
     while len(ids):
         cell = bits[flat]
+        x, y, z = tmax
+        m = np.minimum(np.minimum(x, y), z)  # the depth at which the ray leaves the cell
         new = cell & ~done
         rows = np.flatnonzero(new)
+        # a cell left at the depth it was entered is only touched, not hit
+        rows = rows[m[rows] > t_cur[rows]]
+        new_rows = new[rows]
         for i, (hit, cls, depth) in enumerate(out):
-            r = rows[(new[rows] >> bit_type(i)) & 1 != 0]
+            r = rows[(new_rows >> bit_type(i)) & 1 != 0]
             hit[ids[r]] = True
             cls[ids[r]] = labels[i][flat[r]]
             depth[ids[r]] = t_cur[r]
-        done |= new
+        done[rows] |= new_rows
 
         # Step along the first axis whose boundary is nearest, as argmin would;
         # lin indexes the flat (axis, row) storage of tmax, tdelta and move.
-        x, y, z = tmax
-        m = np.minimum(np.minimum(x, y), z)
         not_x = x != m
         lin = not_x.astype(np.intp)
         lin += not_x & (y != m)
@@ -309,43 +318,14 @@ def first_hits(
     return tuple(a for hits in out for a in hits)
 
 
-def first_hits_exact(
-    vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray, *others: VoxelVolume
-) -> tuple[np.ndarray, ...]:
-    """Exact oracle for :func:`first_hits`, with the same arguments and
-    results: each ray's nearest entry (clamped at 0) into any occupied cell's
-    box, half-open on axes the ray parallels.  Of cells entered at one depth,
-    the first in C order gives the class."""
-    if not all(vol.same_grid(v) for v in others):
-        raise ValueError("first_hits volumes lie on different grids")
-    return tuple(a for v in (vol, *others) for a in _exact_hits(v, origins, dirs))
-
-
-def _exact_hits(vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray):
-    n = len(origins)
-    cls = np.full(n, FREE, dtype=np.int32)
-    depth = np.full(n, np.inf)
-    cells = np.argwhere(vol.occupancy)
-    lo = vol.mins + cells * vol.cell_size
-    hi = lo + vol.cell_size
-    step = max(1, _ORACLE_PAIRS // max(len(cells), 1))
-    for s in range(0, n if len(cells) else 0, step):
-        o = origins[s : s + step, None, :]
-        inside = np.floor((o - vol.mins) / vol.cell_size) == cells
-        t_in, t_out = ray_box(o, dirs[s : s + step, None, :], lo, hi, inside)
-        t_in = np.maximum(t_in, 0.0)
-        entry = np.where(t_in <= t_out, t_in, np.inf)
-        first = np.argmin(entry, axis=1)
-        depth[s : s + step] = entry[np.arange(len(first)), first]
-        cls[s : s + step] = vol.labels[tuple(cells[first].T)]
-    hit = np.isfinite(depth)
-    cls[~hit] = FREE
-    return hit, cls, depth
-
-
-def _ray_metric(pred, gt, cfg, classes, hit_fn) -> MetricsReport:
+def ray_iou(
+    pred: VoxelVolume, gt: VoxelVolume, cfg: RayIoUConfig,
+    classes: ClassTable | None = None,
+) -> MetricsReport:
+    """First-hit depth/class agreement averaged over the tolerance set: the
+    count table with rays as items, walked once by :func:`first_hits`."""
     n_classes = _n_classes(pred, gt, classes)
-    gt_hit, gt_cls, gt_depth, pr_hit, pr_cls, pr_depth = hit_fn(gt, cfg.origins, cfg.directions, pred)
+    gt_hit, gt_cls, gt_depth, pr_hit, pr_cls, pr_depth = first_hits(gt, cfg.origins, cfg.directions, pred)
     both = gt_hit & pr_hit
     close = np.full(len(gt_hit), np.inf)
     close[both] = np.abs(pr_depth[both] - gt_depth[both])
@@ -363,23 +343,6 @@ def _ray_metric(pred, gt, cfg, classes, hit_fn) -> MetricsReport:
         ray_counts=counts,
         occ_ray_counts=occ,
     )
-
-
-def ray_iou(
-    pred: VoxelVolume, gt: VoxelVolume, cfg: RayIoUConfig,
-    classes: ClassTable | None = None,
-) -> MetricsReport:
-    """First-hit depth/class agreement averaged over the tolerance set."""
-    return _ray_metric(pred, gt, cfg, classes, first_hits)
-
-
-def brute_force_ray_iou(
-    pred: VoxelVolume, gt: VoxelVolume, cfg: RayIoUConfig,
-    classes: ClassTable | None = None,
-) -> MetricsReport:
-    """Reference RayIoU from the exact slab oracle :func:`first_hits_exact`
-    (half-open cells) instead of the grid traversal; costs rays x occupied cells."""
-    return _ray_metric(pred, gt, cfg, classes, first_hits_exact)
 
 
 def summary_line(vox: MetricsReport, ray: MetricsReport) -> str:

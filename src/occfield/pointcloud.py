@@ -103,6 +103,7 @@ def read_pointcloud(source) -> PointCloud:
     _, count, feature_dim, _, _ = f.header
     f.no_features(feature_dim)
     rec = f.array(_RECORD, count)
+    f.end()
     return PointCloud(
         rec["position"], rec["origin"], rec["time"], rec["class_id"].copy(), rec["flags"] & 1,
     )

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _format
+from .errors import InconsistentFileError
 from .geometry import ray_box
 from .pointcloud import UNLABELED, ClassTable, PointCloud
 
@@ -393,5 +394,9 @@ def read_voxel_volume(source) -> VoxelVolume:
     f = _format.Reader(source, _VOX_MAGIC, {_VOX_VERSION: _VOX_HEADER})
     _, nx, ny, nz, cell, *extents = f.header
     cells = f.array("<u2", nx * ny * nz).reshape(nx, ny, nz)
+    f.end()
     labels = np.where(cells == 0, FREE, cells.astype(np.int32) - 1)
-    return VoxelVolume(labels, np.array(extents[:3], dtype=np.float64), float(cell))
+    vol = VoxelVolume(labels, extents[:3], float(cell))
+    if not np.all(np.abs(vol.maxs - extents[3:]) <= 1e-6):  # NaN fails this too
+        raise InconsistentFileError(f"QOVX maxs {extents[3:]} are not mins + dims x cell size")
+    return vol

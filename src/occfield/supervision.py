@@ -286,4 +286,5 @@ def read_query_batch(source) -> QueryBatch:
     _, count, feature_dim = f.header
     f.no_features(feature_dim)
     rec = f.array(_QS_RECORD, count)
+    f.end()
     return QueryBatch(rec["query"], rec["occ"].copy(), rec["class"].copy())

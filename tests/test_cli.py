@@ -9,12 +9,13 @@ import pytest
 
 import occfield
 from occfield import (
-    brute_force_ray_iou, field, iou, metrics, ray_iou, read_pointcloud, read_query_batch, read_voxel_volume,
+    field, iou, metrics, ray_iou, read_pointcloud, read_query_batch, read_voxel_volume,
     rays_from_scan,
 )
 from occfield.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from occfield.config import read_run_config, read_scan_file
 from occfield.scene import VoxelVolume
+from slab_oracle import exact_hits
 
 SCENE = """\
 [scene]
@@ -136,7 +137,7 @@ def test_inspect_geometry_before_scan_is_an_io_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "bev_mass.ppm").exists()
 
 
-def test_ground_truth_scores_one_against_itself(tmp_path):
+def test_ground_truth_scores_one_against_itself(tmp_path, monkeypatch):
     run = _write_run(tmp_path)
     assert _run(run, "synth") == [EXIT_OK]
     cfg = read_run_config(run)
@@ -148,8 +149,13 @@ def test_ground_truth_scores_one_against_itself(tmp_path):
     rays = rays_from_scan(read_scan_file(cfg.scan_path))
     vox = iou(config_grid, gt)
     assert vox.mean_iou == 1.0 and vox.occupancy_iou == 1.0
-    for score in (ray_iou, brute_force_ray_iou):
-        rep = score(config_grid, gt, rays)
+
+    def exact(g, o, d, p):
+        return (*exact_hits(g, o, d), *exact_hits(p, o, d))
+
+    for walk in (metrics.first_hits, exact):
+        monkeypatch.setattr(metrics, "first_hits", walk)
+        rep = ray_iou(config_grid, gt, rays)
         assert rep.mean_rayiou == 1.0 and rep.occupancy_rayiou == 1.0
         assert rep.occ_ray_counts.any()  # some ray hits: not the vacuous 1.0
 
@@ -286,6 +292,61 @@ def test_occupancy_other_than_0_or_1_is_a_validation_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "model.qofm").exists()
 
 
+def _class_offset(path):
+    """Where the file at ``path`` keeps a class id (a u2), from its layout:
+    the first point of a QOPC, the first occupied row of a QOQS (a free row
+    must be UNLABELED), and the first cell of a QOVX (class + 1)."""
+    if path.suffix == ".qopc":
+        # magic, <IQHBB header (16), then position f4[3], origin f4[3], time f4, class u2
+        return 4 + 16 + 28
+    if path.suffix == ".qoqs":
+        # magic, <IQH header (14), then records of query f4[4], occ u1, class u2
+        row = int(np.flatnonzero(read_query_batch(path).occupancy == 1)[0])
+        return 4 + 14 + 19 * row + 17
+    return 4 + 72  # magic, <I3Id6d header, then the cells
+
+
+@pytest.mark.parametrize("mode, name, command", [
+    ("query", "scan_000.qopc", "queries"),
+    ("rendering", "scan_000.qopc", "train"),
+    ("query", "queries.qoqs", "train"),
+    ("query", "gt.qovx", "eval"),
+])
+def test_class_outside_the_scene_is_a_validation_error(tmp_path, capsys, mode, name, command):
+    run = _write_run(tmp_path, mode=mode, extra="render_far = 20.0\n")
+    before = ("synth", "scan", "queries", "train", "eval")
+    before = before[: before.index(command)]
+    assert _run(run, *before) == [EXIT_OK] * len(before)
+    path = tmp_path / "out" / name
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, _class_offset(path), 9 + (path.suffix == ".qovx"))
+    path.write_bytes(bytes(blob))
+    assert _run(run, command) == [EXIT_VALIDATION]
+    err = capsys.readouterr().err
+    assert name in err and "class id 9" in err
+
+
+@pytest.mark.parametrize("name, command", [("model.qofm", "eval"), ("queries.qoqs", "train"), ("gt.qovx", "eval")])
+def test_file_that_contradicts_its_header_is_an_io_error(tmp_path, capsys, name, command):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP, "train") == [EXIT_OK] * 4
+    path = tmp_path / "out" / name
+    blob = bytearray(path.read_bytes())
+    if name == "model.qofm":
+        blob += bytes(64)  # after the last layer's bias
+    elif name == "queries.qoqs":
+        struct.pack_into("<Q", blob, 8, 1)  # a count of 1 row: magic, <I version, then <Q count
+    else:
+        struct.pack_into("<d", blob, 4 + 48, float("nan"))  # magic, <I3Id header, mins, then maxs
+    path.write_bytes(bytes(blob))
+    assert _run(run, command) == [EXIT_IO]
+    assert ("maxs" if name == "gt.qovx" else "after its last array") in capsys.readouterr().err
+
+
+def test_an_xfail_that_passes_fails_the_suite(pytestconfig):
+    assert pytestconfig.getini("xfail_strict") is True
+
+
 @pytest.mark.parametrize("parameter", ["first weight", "last bias"])
 def test_non_finite_model_parameter_is_a_validation_error(tmp_path, capsys, parameter):
     run = _write_run(tmp_path)
@@ -311,9 +372,6 @@ UNREACHED = {
     "errors.TrainingDivergedError.__init__": "the divergence path, see test_divergence_exits_4",
     "field.loss": "perfbench's gradient check calls it",
     "supervision.QueryBatch.take": "perfbench's gradient check calls it",
-    "metrics.first_hits_exact": "test oracle",
-    "metrics._exact_hits": "test oracle",
-    "metrics.brute_force_ray_iou": "test oracle",
 }
 
 

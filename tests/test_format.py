@@ -26,7 +26,7 @@ from occfield import (
     write_query_batch,
     write_voxel_volume,
 )
-from occfield.errors import BadMagicError, FormatVersionError, TruncatedFileError
+from occfield.errors import BadMagicError, FormatVersionError, InconsistentFileError, TruncatedFileError
 from occfield.scene import FREE
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -113,6 +113,14 @@ def test_malformed_files_raise_their_error(name):
     for cut in range(len(blob)):
         with pytest.raises(BadMagicError if cut < 4 else TruncatedFileError):
             _read(reader, blob[:cut])
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_bytes_after_the_last_array_are_refused(name):
+    make, reader, _ = FORMATS[name]
+    for extra in (b"\x00", bytes(64)):
+        with pytest.raises(InconsistentFileError, match="after its last array"):
+            _read(reader, make() + extra)
 
 
 def test_benchmark_readers_see_the_same_columns():

@@ -16,6 +16,7 @@ from occfield import (
     voxelize_ground_truth,
     write_voxel_volume,
 )
+from occfield.errors import InconsistentFileError
 from occfield.scene import FREE, VoxelVolume, oracle_query_batch
 
 
@@ -356,6 +357,22 @@ class TestVoxelIO:
         for version in (1, 3):  # only version 2 is read
             with pytest.raises(FormatVersionError):
                 read_voxel_volume(io.BytesIO(blob[:4] + struct.pack("<I", version) + blob[8:]))
+
+    @pytest.mark.parametrize(
+        "shift, refused", [(np.nan, True), (0.4, True), (2e-6, True), (5e-7, False)]
+    )
+    def test_stored_maxs_must_be_mins_plus_dims_times_cell(self, shift, refused):
+        vol = VoxelVolume(np.full((2, 3, 1), FREE, dtype=np.int32), (-0.4, 0.0, 0.4), 0.4)
+        buf = io.BytesIO()
+        write_voxel_volume(vol, buf)
+        blob = bytearray(buf.getvalue())
+        # magic, then <I3Id version, dims and cell size, then mins[3] and maxs[3]
+        struct.pack_into("<d", blob, 4 + 24 + 24 + 8, vol.maxs[1] + shift)
+        if refused:
+            with pytest.raises(InconsistentFileError, match="maxs"):
+                read_voxel_volume(io.BytesIO(bytes(blob)))
+        else:
+            assert read_voxel_volume(io.BytesIO(bytes(blob))).same_grid(vol)
 
 
 class TestSceneClasses:
