@@ -17,7 +17,6 @@ from .pointcloud import (
     PointCloud,
     read_class_table,
     read_pointcloud,
-    write_class_table,
     write_pointcloud,
 )
 from .scene import (
@@ -66,7 +65,6 @@ from .metrics import (
     predict_volume,
     ray_iou,
     rays_from_scan,
-    rays_to_gt_surface,
 )
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@
 Subcommands: synth, scan, queries, train, eval, inspect-geometry.  Every
 command reads one run-config file, writes outputs atomically (temp file +
 rename) into the configured output directory, and is idempotent for a fixed
-seed.  Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric
-divergence, 5 validation failure.
+seed.  ``eval`` scores voxel IoU and RayIoU at t = 0; RayIoU casts the scan's
+own rays, each from its timestep's origin.  Exit codes: 0 success, 2 config
+error, 3 I/O error, 4 numeric divergence, 5 validation failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import bev, field, metrics, supervision
 from .config import RunConfig, read_run_config, read_scan_file, read_scene_file
 from .errors import ConfigError, FormatError, TrainingDivergedError
-from .pointcloud import UNLABELED, PointCloud, write_class_table, read_pointcloud, write_pointcloud
+from .pointcloud import UNLABELED, PointCloud, read_pointcloud, write_pointcloud
 from .scene import raycast_scan, read_voxel_volume, voxelize_ground_truth, write_voxel_volume
 
 EXIT_OK = 0
@@ -61,10 +62,6 @@ def cmd_synth(cfg: RunConfig, seed: int) -> None:
     scene = read_scene_file(cfg.scene_path)
     gt = voxelize_ground_truth(scene, cfg.grid.mins, cfg.grid.maxs, cfg.grid.cell_size, time=0.0)
     _atomic_write(cfg.output_dir / "gt.qovx", lambda f: write_voxel_volume(gt, f))
-    if scene.classes is not None:
-        _atomic_write(
-            cfg.output_dir / "classes.txt", lambda f: write_class_table(scene.classes, f)
-        )
     print(f"synth: wrote {cfg.output_dir / 'gt.qovx'} ({int(gt.occupancy.sum())} occupied cells)")
 
 
@@ -158,11 +155,7 @@ def cmd_eval(cfg: RunConfig, seed: int) -> None:
         model, cfg.grid.mins, cfg.grid.maxs, cfg.grid.cell_size,
         time=0.0, occ_threshold=cfg.metrics.occ_threshold,
     )
-    if cfg.metrics.ray_source == "scan":
-        rays = metrics.rays_from_scan(read_scan_file(cfg.scan_path), cfg.metrics.tolerances)
-    else:
-        origin = read_scan_file(cfg.scan_path).origins()[0]
-        rays = metrics.rays_to_gt_surface(gt, origin, cfg.metrics.tolerances)
+    rays = metrics.rays_from_scan(read_scan_file(cfg.scan_path), cfg.metrics.tolerances)
     vox = metrics.iou(pred, gt, scene.classes)
     ray = metrics.ray_iou(pred, gt, rays, scene.classes)
     _atomic_write(

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .field import TrainConfig
+from .metrics import check_tolerances
 from .pointcloud import read_class_table
 from .scene import Box, Cylinder, GroundSlab, SceneSpec, ScanSpec, VoxelVolume
 from .supervision import SamplingConfig
@@ -193,20 +194,20 @@ class GridConfig:
 
 @dataclasses.dataclass(frozen=True)
 class MetricsConfig:
-    """The ``[metrics]`` section: the occupancy threshold and RayIoU's rays."""
+    """The ``[metrics]`` section: the occupancy threshold and RayIoU's depth
+    tolerances.  RayIoU casts the scan's own rays, each from its timestep's
+    origin, so ``scan`` is the one ``ray_source``."""
 
     occ_threshold: float = 0.5
     tolerances: tuple[float, ...] = (1.0, 2.0, 4.0)
-    ray_source: str = "scan"  # or "surface"
+    ray_source: str = "scan"
 
     def __post_init__(self):
-        if self.ray_source not in ("scan", "surface"):
-            raise ValueError("ray_source must be 'scan' or 'surface'")
+        if self.ray_source != "scan":
+            raise ValueError("ray_source must be 'scan': the GT-surface protocol was removed")
         if not 0.0 <= self.occ_threshold <= 1.0:  # NaN fails this too
             raise ValueError("occ_threshold must lie in [0, 1]")
-        taus = self.tolerances  # 0 < tau_1 < ... < tau_n < inf fails on NaN too
-        if not taus or not all(a < b for a, b in zip((0.0, *taus), (*taus, math.inf))):
-            raise ValueError("tolerances must be finite, positive and increasing")
+        check_tolerances(self.tolerances)
 
 
 @dataclasses.dataclass

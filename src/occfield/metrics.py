@@ -26,6 +26,7 @@ prediction together.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +44,6 @@ __all__ = [
     "iou",
     "ray_iou",
     "rays_from_scan",
-    "rays_to_gt_surface",
     "first_hits",
     "write_metrics_csv",
     "write_ray_counts_csv",
@@ -104,12 +104,18 @@ class RayIoUConfig:
         n = np.linalg.norm(d, axis=1)
         if np.any(np.abs(n - 1.0) > 1e-9):
             raise ValueError("directions must be unit-norm")
-        taus = tuple(float(t) for t in self.depth_tolerances)
-        if len(taus) == 0 or any(t <= 0 for t in taus) or np.any(np.diff(taus) <= 0):
-            raise ValueError("tolerances must be positive and increasing")
         object.__setattr__(self, "origins", o)
         object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "depth_tolerances", taus)
+        object.__setattr__(self, "depth_tolerances", check_tolerances(self.depth_tolerances))
+
+
+def check_tolerances(tolerances) -> tuple[float, ...]:
+    """``tolerances`` as floats, if they are finite, positive and increasing:
+    a NaN tolerance would match no ray and an infinite one every ray."""
+    taus = tuple(float(t) for t in tolerances)
+    if not taus or not all(a < b for a, b in zip((0.0, *taus), (*taus, math.inf))):  # NaN fails too
+        raise ValueError("tolerances must be finite, positive and increasing")
+    return taus
 
 
 def rays_from_scan(scan: ScanSpec, tolerances=(1.0, 2.0, 4.0)) -> RayIoUConfig:
@@ -119,20 +125,6 @@ def rays_from_scan(scan: ScanSpec, tolerances=(1.0, 2.0, 4.0)) -> RayIoUConfig:
     o = np.repeat(origins, len(dirs), axis=0)
     d = np.tile(dirs, (len(origins), 1))
     return RayIoUConfig(o, d, tolerances)
-
-
-def rays_to_gt_surface(
-    gt: VoxelVolume, origin, tolerances=(1.0, 2.0, 4.0)
-) -> RayIoUConfig:
-    """Rays from one origin toward every occupied ground-truth cell center."""
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    centers = gt.centers()[gt.occupancy]
-    d = centers - origin
-    norms = np.linalg.norm(d, axis=1)
-    good = norms > 1e-9
-    return RayIoUConfig(
-        np.broadcast_to(origin, (int(good.sum()), 3)), d[good] / norms[good, None], tolerances
-    )
 
 
 def predict_volume(

@@ -22,7 +22,6 @@ __all__ = [
     "write_pointcloud",
     "read_pointcloud",
     "read_class_table",
-    "write_class_table",
 ]
 
 UNLABELED = 0xFFFF  # sentinel in the class field: occupancy-only supervision
@@ -126,6 +125,8 @@ class ClassTable:
             raise ValueError("frequencies/dynamic_mask must match names")
         if not np.all((freqs >= 0) & (freqs < np.inf)):  # NaN fails this too
             raise ValueError("frequencies must be finite and non-negative")
+        if not all(name.strip() for name in self.names) or len(set(self.names)) < len(self.names):
+            raise ValueError("class names must be distinct and not blank")  # they key the CSV rows
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "dynamic_mask", dyn)
@@ -133,14 +134,6 @@ class ClassTable:
     @property
     def n_classes(self) -> int:
         return len(self.names)
-
-
-def write_class_table(table: ClassTable, destination) -> None:
-    lines = [
-        f"{name},{freq:.10g},{int(dyn)}\n"
-        for name, freq, dyn in zip(table.names, table.frequencies, table.dynamic_mask)
-    ]
-    _format.write(destination, ["".join(lines).encode()])
 
 
 def read_class_table(source) -> ClassTable:
@@ -153,8 +146,11 @@ def read_class_table(source) -> ClassTable:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"class table line {lineno}: expected name,frequency,dynamic")
+        flag = int(parts[2])
+        if flag not in (0, 1):
+            raise ValueError(f"class table line {lineno}: the dynamic flag must be 0 or 1")
         names.append(parts[0])
         freqs.append(float(parts[1]))
-        dyn.append(bool(int(parts[2])))
+        dyn.append(flag == 1)
     return ClassTable(tuple(names), np.array(freqs), np.array(dyn))
 

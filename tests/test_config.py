@@ -1,9 +1,10 @@
 import dataclasses
+import shutil
 from pathlib import Path
 
 import pytest
 
-from occfield.cli import EXIT_CONFIG, main
+from occfield.cli import EXIT_CONFIG, EXIT_OK, main
 from occfield.config import _PARSERS, GridConfig, MetricsConfig, read_run_config, read_scan_file, read_scene_file
 from occfield.errors import ConfigError
 from occfield.field import TrainConfig
@@ -106,6 +107,19 @@ def test_shipped_acceptance_config_parses():
     assert scan.origin_start == (0.1, 0.0, 4.0) and scan.origin_velocity == (4.0, 0.0, 0.0)
 
 
+def test_shipped_acceptance_config_runs_end_to_end(tmp_path):
+    shutil.copytree(CONFIGS, tmp_path / "configs")
+    run = tmp_path / "configs" / "acceptance_run.ini"
+    run.write_text(_set(run.read_text(), "total_steps", "2"))
+    commands = ("synth", "scan", "queries", "train", "eval", "inspect-geometry")
+    assert [main([command, "--config", str(run)]) for command in commands] == [EXIT_OK] * 6
+    scans = [f"scan_{i:03d}.qopc" for i in range(7)]
+    assert sorted(p.name for p in (tmp_path / "out" / "acceptance").iterdir()) == sorted([
+        "gt.qovx", *scans, "queries.qoqs", "validation.txt", "model.qofm", "loss.csv",
+        "metrics.csv", "ray_counts.csv", "bev_mass.ppm",
+    ])
+
+
 def test_small_config_parses(tmp_path):
     cfg = read_run_config(_write(tmp_path))
     assert cfg.train.total_steps == 20 and cfg.seed == 3
@@ -193,6 +207,10 @@ MALFORMED = [
     ("classes", "classes.txt", ""),
     ("classes", "classes.txt", "ground,nan,0"),
     ("classes", "classes.txt", "ground,inf,0"),
+    ("classes", "classes.txt", "ground,0.5,0\nblock,0.5,2"),
+    ("classes", "classes.txt", "ground,0.5,0\nblock,0.5,-1"),
+    ("classes", "classes.txt", "ground,0.5,0\n,0.5,0"),
+    ("classes", "classes.txt", "ground,0.5,0\nground,0.5,1"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from occfield import ContractionParams, FourierConfig, init_field_model, iou, predict_volume, ray_iou
 from occfield import metrics
+from occfield.config import MetricsConfig
 from occfield.geometry import ray_box
 from occfield.metrics import RayIoUConfig, first_hits
 from occfield.pointcloud import ClassTable
@@ -324,6 +325,15 @@ class TestRayIoUConfig:
     def test_no_rays_is_allowed(self):
         cfg = RayIoUConfig(np.zeros((0, 3)), np.zeros((0, 3)))
         assert cfg.origins.shape == (0, 3)
+
+    @pytest.mark.parametrize("taus", [(np.nan,), (1.0, np.inf), (np.nan, 2.0)])
+    def test_non_finite_tolerances_are_rejected(self, taus):
+        # a NaN tolerance matches no ray, so every RayIoU would read 0
+        rays = {"origins": np.zeros((1, 3)), "directions": [[0.0, 0.0, 1.0]]}
+        with pytest.raises(ValueError, match="tolerances must be finite"):
+            RayIoUConfig(**rays, depth_tolerances=taus)
+        with pytest.raises(ValueError, match="tolerances must be finite"):
+            MetricsConfig(tolerances=taus)
 
 
 class TestScores:

@@ -9,7 +9,6 @@ from occfield import (
     PointCloud,
     read_class_table,
     read_pointcloud,
-    write_class_table,
     write_pointcloud,
 )
 from occfield.errors import BadMagicError, FormatVersionError, TruncatedFileError
@@ -89,14 +88,18 @@ class TestIO:
         with pytest.raises(TruncatedFileError):
             read_pointcloud(io.BytesIO(blob[:10]))
 
-    def test_class_table_round_trip(self, tmp_path):
-        table = ClassTable(("ground", "car"), np.array([0.8, 0.2]), np.array([False, True]))
+    def test_read_class_table(self, tmp_path):
         path = tmp_path / "classes.txt"
-        write_class_table(table, path)
+        path.write_text("ground,0.8,0\ncar,0.2,1\n")
         back = read_class_table(path)
-        assert back.names == table.names
-        np.testing.assert_allclose(back.frequencies, table.frequencies)
-        np.testing.assert_array_equal(back.dynamic_mask, table.dynamic_mask)
+        assert back.names == ("ground", "car")
+        np.testing.assert_array_equal(back.frequencies, [0.8, 0.2])
+        np.testing.assert_array_equal(back.dynamic_mask, [False, True])
+
+    @pytest.mark.parametrize("names", [("ground", ""), ("ground", " "), ("ground", "ground")])
+    def test_class_names_must_be_distinct_and_not_blank(self, names):
+        with pytest.raises(ValueError, match="class names"):
+            ClassTable(names, np.array([0.8, 0.2]), np.array([False, True]))
 
 
 class TestConcat:
