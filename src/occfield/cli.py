@@ -23,7 +23,7 @@ from . import bev, field, metrics, supervision
 from .config import RunConfig, read_run_config, read_scan_file, read_scene_file
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .pointcloud import UNLABELED, PointCloud, read_pointcloud, write_pointcloud
-from .scene import raycast_scan, read_voxel_volume, voxelize_ground_truth, write_voxel_volume
+from .scene import VoxelVolume, raycast_scan, read_voxel_volume, voxelize_ground_truth, write_voxel_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,6 +151,8 @@ def cmd_eval(cfg: RunConfig, seed: int) -> None:
     gt_path = cfg.output_dir / "gt.qovx"
     gt = read_voxel_volume(gt_path)
     _check_classes(gt_path, gt.labels, scene.n_classes)
+    if not gt.same_grid(VoxelVolume.free(cfg.grid.mins, cfg.grid.maxs, cfg.grid.cell_size)):
+        raise ValueError("prediction and ground truth grids differ")  # before the field runs
     pred = metrics.predict_volume(
         model, cfg.grid.mins, cfg.grid.maxs, cfg.grid.cell_size,
         time=0.0, occ_threshold=cfg.metrics.occ_threshold,

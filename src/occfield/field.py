@@ -5,7 +5,10 @@ that predicts an occupancy logit and semantic logits for any 4D query.  Gradient
 backprop, including the bilinear scatter back into the grid) and verified
 against finite differences in the test suite.  Training uses Adam moments
 with decoupled weight decay, linear warmup, and cosine decay.  Inference
-(``forward_batch``) keeps no backprop cache and no derivatives.
+(``forward_batch``) keeps no backprop cache and no derivatives, and runs any
+batch in blocks of ``_INFER_ROWS`` rows through one input buffer and two
+activation buffers that the whole call reuses, so its working memory stays a
+few MB whatever the batch size.
 
 Both training modes run through one loop (``_run_steps``) that keeps the
 activations, squareplus derivatives and optimizer temporaries in buffers that
@@ -59,6 +62,7 @@ _ADAM_EPS = 1e-8
 RENDER_EPS = 1e-3  # opacity-mass guard for fully transparent rays
 _ADAM_CHUNK = 1 << 16  # elements per AdamW slice: no optimizer temporary copies the grid
 _BLOCK_ROWS = 256  # rows per squareplus block: 256 x 160 float64 (330 kB) stay in L2 cache
+_INFER_ROWS = 2048  # rows per inference block: a 2,048 x 160 float64 activation is 2.6 MB
 
 
 def _squareplus(a: np.ndarray, b: np.ndarray, out: np.ndarray, deriv: bool) -> np.ndarray:
@@ -246,8 +250,9 @@ def _forward_raw(model: FieldModel, queries: np.ndarray, work=None, start: int =
     bitwise across batch sizes, except in a one-row batch, which numpy
     multiplies as a matrix-vector product (``forward_batch`` pads it to two
     rows).  With a 4-column head they need not: at 160 hidden units OpenBLAS
-    rounds batches of 2 to about 1,500 rows otherwise than the same rows of
-    a 16,384-row batch, and 2,000 or 4,096 rows agree.
+    rounds batches of 2 to about 1,500 rows otherwise than the same rows of a
+    larger batch, so a 3-class model's inference bits follow the
+    ``_INFER_ROWS`` block that ``forward_batch`` puts a row in.
     """
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
     n = len(q)
@@ -305,20 +310,38 @@ def _backward_from_output_grads(
 
 def forward_batch(model: FieldModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized inference: (occ_prob (N,), semantic_probs (N,S)).
-    Keeps no backprop cache: two buffers serve every hidden layer, and squareplus
-    runs in place through ``_squareplus``, so outputs equal training's bit for bit.
-    A one-row batch runs as two copies of its row, so that numpy multiplies it
-    as a matrix; ``_forward_raw`` says when rows agree across batch sizes."""
+
+    Any N runs in blocks of ``_INFER_ROWS`` rows and keeps no backprop cache.
+    Each block is encoded into one input buffer and passes through two
+    activation buffers, with squareplus in place through ``_squareplus``, so
+    outputs equal training's bit for bit; the buffers and the (N,) and (N, S)
+    outputs are allocated once per call.  A one-row block runs as two copies
+    of its row, so that numpy multiplies it as a matrix; ``_forward_raw`` says
+    when rows agree across batch sizes.  A query that is not finite raises
+    ValueError.
+    """
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
-    rows = len(q)
-    h, a = _encode(model, np.repeat(q, 2, axis=0) if rows == 1 else q)[0], None
-    for w, b in model.layers[:-1]:
-        a = np.matmul(h, w, out=a if a is not None and a.shape[1] == w.shape[1] else None)
-        # h is spent once a holds h @ w
-        h = _squareplus(a, b, h if h.shape == a.shape else np.empty_like(a), deriv=False)
-    w, b = model.layers[-1]
-    out = (h @ w + b)[:rows]
-    return _sigmoid(out[:, 0]), _softmax(out[:, 1:])
+    n = len(q)
+    occ, sem = np.empty(n), np.empty((n, model.n_classes))
+    rows = max(2, min(n, _INFER_ROWS))
+    enc = np.empty((rows, model.layer_sizes[0]))
+    acts = np.empty((2, rows * max(model.layer_sizes[1:-1], default=0)))
+    for lo in range(0, n, _INFER_ROWS):
+        block = q[lo : lo + _INFER_ROWS]
+        # min and max carry any NaN or infinity, without a block-sized mask
+        if not np.isfinite([block.min(), block.max()]).all():
+            raise ValueError("queries must be finite")
+        m = len(block)
+        r = max(m, 2)
+        h = _encode(model, np.repeat(block, 2, axis=0) if m == 1 else block, enc[:r])[0]
+        for w, b in model.layers[:-1]:
+            a, h_next = (buf[: r * w.shape[1]].reshape(r, -1) for buf in acts)
+            h = _squareplus(np.matmul(h, w, out=a), b, h_next, deriv=False)
+        w, b = model.layers[-1]
+        out = (h @ w + b)[:m]
+        occ[lo : lo + m] = _sigmoid(out[:, 0])
+        sem[lo : lo + m] = _softmax(out[:, 1:])
+    return occ, sem
 
 
 @dataclasses.dataclass(frozen=True)

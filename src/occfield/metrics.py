@@ -20,7 +20,11 @@ inside it.
 ``first_hits`` finds the first occupied cell by integer grid traversal
 (Amanatides & Woo); given several volumes on one grid it walks each ray once
 and reports each volume's first hit, so ``ray_iou`` walks ground truth and
-prediction together.
+prediction together.  It builds the padded cell mask and label arrays once per
+call and walks the rays in blocks of ``_WALK_RAYS``, so the per-ray walk state
+stays a few MB however many rays there are; each ray's walk is elementwise, so
+the block size changes no bit.  ``predict_volume`` queries the field over the
+whole lattice in one ``forward_batch`` call, which runs it in blocks of its own.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ __all__ = [
     "summary_line",
 ]
 
-_CHUNK = 16384  # voxels per inference chunk: one 16,384 x 160 activation is 21 MB
+_WALK_RAYS = 16384  # rays per first_hits block: a block's walk state is about 6 MB
 
 
 @dataclasses.dataclass
@@ -137,18 +141,16 @@ def predict_volume(
 ) -> VoxelVolume:
     """Query the field at voxel centers: occupied iff occ_prob >= threshold.
 
-    The class is the semantic argmax (lowest index wins ties).
+    The class is the semantic argmax (lowest index wins ties).  Every center
+    goes to one ``forward_batch`` call, which evaluates the lattice in blocks
+    through buffers it reuses, so only the (voxels, 4) queries and the
+    outputs grow with the grid.  A non-finite ``time`` raises ValueError.
     """
     vol = VoxelVolume.free(mins, maxs, cell_size)
     centers = vol.centers().reshape(-1, 3)
-    labels = vol.labels.reshape(-1)  # a view: the chunks fill the volume
-    for lo in range(0, len(centers), _CHUNK):
-        hi = min(lo + _CHUNK, len(centers))
-        q = np.concatenate([centers[lo:hi], np.full((hi - lo, 1), time)], axis=1)
-        occ_p, sem_p = forward_batch(model, q)
-        occupied = occ_p >= occ_threshold
-        cls = np.argmax(sem_p, axis=1).astype(np.int32)
-        labels[lo:hi] = np.where(occupied, cls, FREE)
+    occ_p, sem_p = forward_batch(model, np.concatenate([centers, np.full((len(centers), 1), time)], axis=1))
+    cls = np.argmax(sem_p, axis=1).astype(np.int32)
+    vol.labels[...] = np.where(occ_p >= occ_threshold, cls, FREE).reshape(vol.dims)
     return vol
 
 
@@ -242,14 +244,26 @@ def first_hits(
     # The mask is padded by one layer of cells that hold only the outside bit,
     # so a ray that steps off the grid lands on one of them instead of wrapping
     # around in the flat cell index.
-    dims = np.array(vol.dims)
-    strides = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
     bit_type = np.min_scalar_type((2 << len(vols)) - 1).type
     outside = bit_type(1 << len(vols))
-    finished = bit_type((2 << len(vols)) - 1)  # every volume hit, plus the outside bit
     occupied = sum(v.occupancy.astype(bit_type) << bit_type(i) for i, v in enumerate(vols))
     bits = np.pad(occupied, 1, constant_values=outside).ravel()
     labels = [np.pad(v.labels, 1).ravel() for v in vols]
+    for lo in range(0, n, _WALK_RAYS):
+        rays = slice(lo, lo + _WALK_RAYS)
+        _walk(vol, origins[rays], dirs[rays], bits, labels, [[a[rays] for a in hits] for hits in out])
+    return tuple(a for hits in out for a in hits)
+
+
+def _walk(vol: VoxelVolume, origins, dirs, bits, labels, out) -> None:
+    """The walk of :func:`first_hits` over one block of rays, through the
+    padded cell mask ``bits`` and label arrays ``labels`` that it built;
+    writes each volume's hits into the block's views ``out``."""
+    dims = np.array(vol.dims)
+    strides = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
+    bit_type = bits.dtype.type
+    outside = bit_type(1 << len(labels))
+    finished = bit_type((2 << len(labels)) - 1)  # every volume hit, plus the outside bit
 
     # half-open like the cells: a ray along the grid's upper face is outside it
     inside = (origins >= vol.mins) & (origins < vol.maxs)
@@ -307,7 +321,6 @@ def first_hits(
             k = np.flatnonzero(keep)
             ids, t_out, t_cur, flat, done = ids[k], t_out[k], t_cur[k], flat[k], done[k]
             tmax, tdelta, move = tmax.take(k, axis=1), tdelta.take(k, axis=1), move.take(k, axis=1)
-    return tuple(a for hits in out for a in hits)
 
 
 def ray_iou(

@@ -191,6 +191,20 @@ def test_ground_truth_eval_counts_no_false_rays(tmp_path, monkeypatch):
     assert summary == ["1.000000"] * 6
 
 
+def test_eval_refuses_ground_truth_on_another_grid_before_predicting(tmp_path, monkeypatch, capsys):
+    run = _write_run(tmp_path)
+    assert _run(run, *PREP, "train") == [EXIT_OK] * 4
+    run.write_text(run.read_text().replace("x_max = 4.0", "x_max = 4.4"))
+
+    def predict(*args, **kwargs):
+        raise AssertionError("eval ran the field before it compared the grids")
+
+    monkeypatch.setattr(metrics, "predict_volume", predict)
+    assert _run(run, "eval") == [EXIT_VALIDATION]
+    assert "grids differ" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_surface_ray_source_is_a_config_error(tmp_path, capsys):
     run = _write_run(tmp_path, extra="[metrics]\nray_source = surface\n")
     assert _run(run, *PREP, "train", "eval") == [EXIT_CONFIG] * 5

@@ -235,8 +235,9 @@ class TestInference:
         np.testing.assert_array_equal(occ_p, field_module._sigmoid(occ_logit))
         np.testing.assert_array_equal(sem_p, field_module._softmax(sem_logits))
 
-    def test_keeps_no_activation_cache(self):
-        n, width = 8192, 160
+    @pytest.mark.parametrize("n", [8192, 65536])
+    def test_memory_does_not_grow_with_the_batch(self, n):
+        width = 160
         model = _randomize(
             init_field_model(ContractionParams(10.0, 0.8), n_classes=3, grid_size=8,
                              hidden_width=width, hidden_layers=4),
@@ -245,12 +246,48 @@ class TestInference:
         q = _random_batch(np.random.default_rng(6), n).queries
         tracemalloc.start()
         try:
-            forward_batch(model, q)
+            outputs = forward_batch(model, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the training forward holds about 10.6 such arrays, inference 2.6
-        assert peak < 4 * n * width * 8
+        # one block's input and two activation buffers plus its encoding
+        # temporaries hold about 3.4 blocks of activations; the outputs are N-sized
+        block = field_module._INFER_ROWS * width * 8
+        assert peak - sum(a.nbytes for a in outputs) < 4 * block
+
+    @pytest.fixture(scope="class")
+    def six_column_rows(self):
+        """A model with a 6-column head, whose rows agree bitwise across batch
+        sizes, 2B + 1 queries (B = ``_INFER_ROWS``) and the probabilities of
+        one whole-batch training forward pass over them."""
+        rng = np.random.default_rng(23)
+        model = _randomize(
+            init_field_model(ContractionParams(10.0, 0.8), n_classes=5, grid_size=8,
+                             hidden_width=160, hidden_layers=4),
+            rng, scale=0.05,
+        )
+        q = _random_batch(rng, 2 * field_module._INFER_ROWS + 1).queries
+        occ_logit, sem_logits, _ = _forward_raw(model, q)
+        return model, q, field_module._sigmoid(occ_logit), field_module._softmax(sem_logits)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["1", "2", "B-1", "B", "B+1", "2B+1"])
+    def test_block_boundaries_keep_the_bits_of_one_batch(self, six_column_rows, blocks, extra):
+        model, q, occ_p, sem_p = six_column_rows
+        n = blocks * field_module._INFER_ROWS + extra
+        occ, sem = forward_batch(model, q[:n])
+        assert occ.shape == (n,) and sem.shape == (n, 5)
+        assert occ.tobytes() == occ_p[:n].tobytes() and sem.tobytes() == sem_p[:n].tobytes()
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_is_refused(self, column, value):
+        # a non-finite z or t would otherwise give NaN probabilities
+        model = _randomize(_small_model(), np.random.default_rng(24))
+        q = _random_batch(np.random.default_rng(25), field_module._INFER_ROWS + 5).queries
+        q[-2, column] = value  # in the second block
+        with pytest.raises(ValueError, match="finite"):
+            forward_batch(model, q)
 
     def test_one_row_batch_gives_the_batched_bits(self):
         # numpy multiplies a one-row matrix through a matrix-vector product,

@@ -1,9 +1,11 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from occfield import ContractionParams, FourierConfig, init_field_model, iou, predict_volume, ray_iou
+from occfield import field as field_module
 from occfield import metrics
 from occfield.config import MetricsConfig
 from occfield.geometry import ray_box
@@ -313,6 +315,36 @@ class TestJointTraversal:
         np.testing.assert_array_equal(rep.ray_counts, ray_iou(pred, gt, cfg).ray_counts)
 
 
+class TestWalkBlocks:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_size_does_not_change_a_bit(self, monkeypatch, seed):
+        rng = np.random.default_rng(420 + seed)
+        a, b = _random_volume(rng, p=0.1), _random_volume(rng, p=0.3)
+        o, d = _ray_mix(rng, a)
+        monkeypatch.setattr(metrics, "_WALK_RAYS", len(o))
+        whole = first_hits(a, o, d, b)
+        assert whole[0].any() and not whole[0].all()
+        for rays in (1, 7):
+            monkeypatch.setattr(metrics, "_WALK_RAYS", rays)
+            _assert_bitwise(first_hits(a, o, d, b), whole)
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    def test_memory_does_not_grow_with_the_rays(self, n):
+        rng = np.random.default_rng(430)
+        vol = VoxelVolume(_random_volume(rng, p=0.03).labels.repeat(8, axis=0).repeat(8, axis=1), MINS, CELL)
+        o = vol.mins + rng.random((n, 3)) * (vol.maxs - vol.mins)
+        d = _unit(rng.normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            hits = first_hits(vol, o, d, vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits[0].any() and not hits[0].all()
+        # one block's walk state holds about 350 bytes a ray; the outputs are n-sized
+        assert peak - sum(a.nbytes for a in hits) < 512 * metrics._WALK_RAYS
+
+
 class TestRayIoUConfig:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["origins", "directions"])
@@ -397,10 +429,17 @@ class TestPredictVolume:
         maxs = MINS + CELL * np.array(DIMS)
         default = predict_volume(model, MINS, maxs, CELL, time=0.25)
         assert len(np.unique(default.labels)) > 2  # free and several classes
-        for chunk in (7, default.labels.size):
-            monkeypatch.setattr(metrics, "_CHUNK", chunk)
+        for rows in (1, 7, default.labels.size):
+            monkeypatch.setattr(field_module, "_INFER_ROWS", rows)
             other = predict_volume(model, MINS, maxs, CELL, time=0.25)
             np.testing.assert_array_equal(other.labels, default.labels)
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf])
+    def test_non_finite_time_is_refused(self, time):
+        # NaN probabilities would otherwise label every voxel free
+        model = self._model()
+        with pytest.raises(ValueError, match="finite"):
+            predict_volume(model, MINS, MINS + CELL * np.array(DIMS), CELL, time=time)
 
     def test_extents_must_be_whole_cells(self):
         model = self._model()
